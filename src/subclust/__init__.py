@@ -60,11 +60,9 @@ from .solvers import (
     solve_ssc,
 )
 from .spectral import (
-    ClusteringOutcome,
     SpectralConfig,
     cluster,
     clustering_accuracy,
-    evaluate_clustering,
     kmeans,
     spectral_embed,
 )

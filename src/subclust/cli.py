@@ -3,18 +3,21 @@
 Subcommands: `synth` writes a synthetic union-of-subspaces dataset, `run`
 executes one configured experiment, `grid` runs the full solver x affinity
 comparison on a dataset. Exit codes: 0 success, 1 config error, 2 data
-error, 3 numerical failure.
+error, 3 numerical failure. `run` writes its dumps from the same solve that
+produced its scores. `grid` exits 0 even when cells fail: each failed cell
+prints ERR in the table and one `subclust: cell <solver>+<affinity> failed:
+<reason>` line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 import numpy as np
 
-from .affinity import build_affinity
+# cli.solve, cli.build_affinity and cli.cluster are unused; perfbench/tracing.py hooks them
+from .affinity import build_affinity  # noqa: F401
 from .data import (
     SyntheticSpec,
     generate_synthetic,
@@ -29,13 +32,11 @@ from .harness import (
     PresetTable,
     emit_table,
     load_experiment_config,
-    materialize_dataset,
     run_experiment,
     run_grid,
-    trial_seed,
 )
-from .solvers import default_solver_config, solve
-from .spectral import SpectralConfig, cluster
+from .solvers import solve  # noqa: F401
+from .spectral import cluster  # noqa: F401
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -70,10 +71,6 @@ def _build_parser() -> _Parser:
     run.add_argument("--dump-coeff", help="write the coefficient matrix (binary format)")
     run.add_argument("--dump-affinity", help="write the affinity matrix (binary format)")
     run.add_argument("--dump-labels", help="write trial-0 predicted labels, one per line")
-    run.add_argument(
-        "--resolve-per-trial", action="store_true",
-        help="re-solve the coefficient matrix inside every trial",
-    )
 
     grid = sub.add_parser("grid", help="run the 4x4 solver x affinity grid")
     grid.add_argument("--dataset", required=True, help="matrix file (one sample per row for csv)")
@@ -109,29 +106,6 @@ def _cmd_synth(args) -> int:
 
 def _cmd_run(args) -> int:
     cfg = load_experiment_config(args.config)
-    if args.resolve_per_trial:
-        cfg = replace(cfg, resolve_per_trial=True)
-    if args.dump_coeff or args.dump_affinity or args.dump_labels:
-        ds = prepare_dataset(materialize_dataset(cfg.dataset), cfg.pca_dim, cfg.normalize)
-        scfg = cfg.solver_config or default_solver_config(cfg.solver)
-        C = solve(cfg.solver, ds.matrix, scfg)
-        if args.dump_coeff:
-            save_matrix_binary(C.values, args.dump_coeff)
-        if args.dump_affinity or args.dump_labels:
-            W = build_affinity(cfg.affinity, C, ds.matrix, cfg.affinity_config)
-            if args.dump_affinity:
-                save_matrix_binary(W.values, args.dump_affinity)
-            if args.dump_labels:
-                labels = cluster(
-                    W,
-                    SpectralConfig(
-                        n_clusters=cfg.n_clusters,
-                        seed=trial_seed(cfg.master_seed, 0),
-                        kmeans_restarts=cfg.kmeans_restarts,
-                        laplacian=cfg.laplacian,
-                    ),
-                )
-                save_labels(labels, args.dump_labels)
     result = run_experiment(cfg)
     print(
         f"{cfg.solver}+{cfg.affinity}: mean={result.mean:.2f} std={result.std:.2f} "
@@ -144,6 +118,13 @@ def _cmd_run(args) -> int:
         lines += [f"{i},{acc:.6f}" for i, acc in enumerate(result.per_trial)]
         with open(args.out, "w") as fh:
             fh.write("\n".join(lines) + "\n")
+    C, W, labels = result.artifacts
+    if args.dump_coeff:
+        save_matrix_binary(C.values, args.dump_coeff)
+    if args.dump_affinity:
+        save_matrix_binary(W.values, args.dump_affinity)
+    if args.dump_labels:
+        save_labels(labels, args.dump_labels)
     return EXIT_OK
 
 
@@ -171,6 +152,8 @@ def _cmd_grid(args) -> int:
         n_clusters=n_clusters,
     )
     print(emit_table(grid, "console"), end="")
+    for (solver, affinity), reason in grid.errors.items():
+        print(f"subclust: cell {solver}+{affinity} failed: {reason}", file=sys.stderr)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(emit_table(grid, "csv"))

@@ -210,6 +210,18 @@ def save_dataset(ds: Dataset, matrix_path, labels_path, format: str = "csv") -> 
     save_labels(ds.truth, labels_path)
 
 
+def canonical_signs(vectors: np.ndarray) -> np.ndarray:
+    """Flip columns in place so each one's largest-magnitude entry is positive.
+
+    Fixes the sign ambiguity of eigen- and singular vectors for reproducibility.
+    """
+    for j in range(vectors.shape[1]):
+        i = int(np.argmax(np.abs(vectors[:, j])))
+        if vectors[i, j] < 0:
+            vectors[:, j] = -vectors[:, j]
+    return vectors
+
+
 def pca_project(X: DataMatrix, target_dim: int) -> DataMatrix:
     """Project onto the top principal directions of the mean-centered data.
 
@@ -221,12 +233,7 @@ def pca_project(X: DataMatrix, target_dim: int) -> DataMatrix:
         raise ConfigError(f"target_dim must be in 1..{min(d, n)}, got {target_dim}")
     centered = X.values - X.values.mean(axis=1, keepdims=True)
     U, s, Vt = np.linalg.svd(centered, full_matrices=False)
-    U = U[:, :target_dim]
-    # fix the sign ambiguity of each direction for reproducibility
-    for j in range(target_dim):
-        i = int(np.argmax(np.abs(U[:, j])))
-        if U[i, j] < 0:
-            U[:, j] = -U[:, j]
+    U = canonical_signs(U[:, :target_dim])
     return DataMatrix(U.T @ centered)
 
 

@@ -11,19 +11,26 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, replace
 from importlib import resources
 
 import numpy as np
 
 from .affinity import AFFINITIES, AffinityConfig, build_affinity
-from .data import Dataset, SyntheticSpec, generate_synthetic, load_dataset, prepare_dataset
+from .data import (
+    Dataset,
+    LabelVector,
+    SyntheticSpec,
+    generate_synthetic,
+    load_dataset,
+    prepare_dataset,
+)
 from .errors import ConfigError
 from .solvers import SOLVERS, SolverConfig, default_solver_config, solve
 from .spectral import LAPLACIANS, SpectralConfig, clustering_accuracy, kmeans, spectral_embed
 
-SOLVER_COLUMNS = ("lsr", "smr", "lrrsc", "ssc")  # report column order
-AFFINITY_ROWS = ("sm", "ssm", "svdm", "ipm")
+SOLVER_COLUMNS = SOLVERS  # report column order
+AFFINITY_ROWS = AFFINITIES
 INDICATORS = ("Mean", "STD", "Max", "Min")
 
 
@@ -55,7 +62,6 @@ class ExperimentConfig:
     normalize: bool = True
     trials: int = 20
     master_seed: int = 0
-    resolve_per_trial: bool = False
     kmeans_restarts: int = 10
     laplacian: str = "symmetric_normalized"
 
@@ -74,7 +80,12 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    """Trial statistics of one experiment (accuracies in percent)."""
+    """Trial statistics of one experiment (accuracies in percent).
+
+    wall_time_s covers affinity through scoring for a grid cell, and loading
+    through scoring for run_experiment. artifacts holds (C, W, trial-0
+    labels); only run_experiment sets it, so a grid holds one W at a time.
+    """
 
     mean: float
     std: float
@@ -83,6 +94,7 @@ class ExperimentResult:
     per_trial: tuple[float, ...]
     wall_time_s: float
     solver_converged_fraction: float
+    artifacts: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not (self.min <= self.mean <= self.max):
@@ -178,49 +190,37 @@ def materialize_dataset(source: DatasetFiles | SyntheticSpec) -> Dataset:
     return load_dataset(source.matrix_path, source.labels_path, source.format)
 
 
-def _trial_accuracies(W, truth, n_clusters, seeds, restarts, laplacian):
-    spectral_cfg = SpectralConfig(
-        n_clusters=n_clusters,
-        seed=0,
-        kmeans_restarts=restarts,
-        laplacian=laplacian,
+def _score_cell(ds, C, affinity, acfg, k, seeds, restarts, laplacian, t0):
+    """Build W from C, embed it once and score one seeded k-means run per seed.
+
+    Returns W, the per-trial labels and the trial statistics, whose
+    wall_time_s runs from t0 to the end of scoring.
+    """
+    W = build_affinity(affinity, C, ds.matrix, acfg)
+    embedding = spectral_embed(
+        W, SpectralConfig(n_clusters=k, kmeans_restarts=restarts, laplacian=laplacian)
     )
-    embedding = spectral_embed(W, spectral_cfg)
-    accuracies = []
-    for seed in seeds:
-        labels = kmeans(embedding, n_clusters, seed=seed, restarts=restarts)
-        accuracies.append(clustering_accuracy(labels, truth))
-    return accuracies
+    labels = [kmeans(embedding, k, seed=seed, restarts=restarts) for seed in seeds]
+    accuracies = [clustering_accuracy(trial, ds.truth) for trial in labels]
+    fraction = 1.0 if C.report.converged else 0.0
+    return W, labels, summarize_trials(accuracies, time.perf_counter() - t0, fraction)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Run one experiment: solve, build affinity, repeat seeded clustering trials."""
+    """Run one experiment: solve, build affinity, repeat seeded clustering trials.
+
+    Unlike a grid cell, the result carries artifacts: the coefficient
+    matrix, the affinity and the trial-0 labels.
+    """
     t0 = time.perf_counter()
     ds = prepare_dataset(materialize_dataset(cfg.dataset), cfg.pca_dim, cfg.normalize)
-    solver_cfg = cfg.solver_config or default_solver_config(cfg.solver)
+    C = solve(cfg.solver, ds.matrix, cfg.solver_config or default_solver_config(cfg.solver))
     seeds = [trial_seed(cfg.master_seed, i) for i in range(cfg.trials)]
-
-    if cfg.resolve_per_trial:
-        accuracies = []
-        converged = []
-        for seed in seeds:
-            C = solve(cfg.solver, ds.matrix, solver_cfg)
-            converged.append(1.0 if C.report.converged else 0.0)
-            W = build_affinity(cfg.affinity, C, ds.matrix, cfg.affinity_config)
-            accuracies.extend(
-                _trial_accuracies(
-                    W, ds.truth, cfg.n_clusters, [seed], cfg.kmeans_restarts, cfg.laplacian
-                )
-            )
-        fraction = float(np.mean(converged))
-    else:
-        C = solve(cfg.solver, ds.matrix, solver_cfg)
-        W = build_affinity(cfg.affinity, C, ds.matrix, cfg.affinity_config)
-        accuracies = _trial_accuracies(
-            W, ds.truth, cfg.n_clusters, seeds, cfg.kmeans_restarts, cfg.laplacian
-        )
-        fraction = 1.0 if C.report.converged else 0.0
-    return summarize_trials(accuracies, time.perf_counter() - t0, fraction)
+    W, labels, result = _score_cell(
+        ds, C, cfg.affinity, cfg.affinity_config, cfg.n_clusters, seeds,
+        cfg.kmeans_restarts, cfg.laplacian, t0,
+    )
+    return replace(result, artifacts=(C, W, LabelVector(labels[0], cfg.n_clusters)))
 
 
 @dataclass(frozen=True)
@@ -248,10 +248,12 @@ def run_grid(
 
     Each solver's coefficient matrix is computed once and reused across its
     four affinities. A failing cell records its error and the grid continues.
+    A cell's wall_time_s covers affinity through scoring, not the solve.
     """
     if presets is not None and preset_name is None:
         raise ConfigError("preset_name is required when a PresetTable is supplied")
     k = n_clusters if n_clusters is not None else dataset.truth.k
+    seeds = [trial_seed(master_seed, i) for i in range(trials)]
     cells = {}
     errors = {}
     for solver in SOLVER_COLUMNS:
@@ -266,7 +268,6 @@ def run_grid(
             for affinity in AFFINITY_ROWS:
                 errors[(solver, affinity)] = f"{type(exc).__name__}: {exc}"
             continue
-        fraction = 1.0 if C.report.converged else 0.0
         for affinity in AFFINITY_ROWS:
             acfg = (
                 presets.affinity_config(preset_name, solver, affinity)
@@ -275,13 +276,8 @@ def run_grid(
             )
             t0 = time.perf_counter()
             try:
-                W = build_affinity(affinity, C, dataset.matrix, acfg)
-                seeds = [trial_seed(master_seed, i) for i in range(trials)]
-                accuracies = _trial_accuracies(
-                    W, dataset.truth, k, seeds, kmeans_restarts, laplacian
-                )
-                cells[(solver, affinity)] = summarize_trials(
-                    accuracies, time.perf_counter() - t0, fraction
+                _, _, cells[(solver, affinity)] = _score_cell(
+                    dataset, C, affinity, acfg, k, seeds, kmeans_restarts, laplacian, t0
                 )
             except Exception as exc:
                 errors[(solver, affinity)] = f"{type(exc).__name__}: {exc}"
@@ -344,21 +340,7 @@ _SYNTHETIC_KEYS = (
     "independent",
 )
 
-_TOP_LEVEL_KEYS = (
-    "dataset",
-    "solver",
-    "affinity",
-    "n_clusters",
-    "solver_config",
-    "affinity_config",
-    "pca_dim",
-    "normalize",
-    "trials",
-    "master_seed",
-    "resolve_per_trial",
-    "kmeans_restarts",
-    "laplacian",
-)
+_TOP_LEVEL_KEYS = tuple(f.name for f in fields(ExperimentConfig))
 
 
 def _reject_unknown(obj: dict, allowed, context: str) -> None:
@@ -407,28 +389,13 @@ def parse_experiment_config(obj: dict) -> ExperimentConfig:
         _reject_unknown(raw, _AFFINITY_CONFIG_KEYS, "affinity_config")
         affinity_cfg = AffinityConfig(**raw)
 
-    kwargs = {
-        key: obj[key]
-        for key in (
-            "n_clusters",
-            "pca_dim",
-            "normalize",
-            "trials",
-            "master_seed",
-            "resolve_per_trial",
-            "kmeans_restarts",
-            "laplacian",
-        )
-        if key in obj
-    }
-    return ExperimentConfig(
+    kwargs = {key: obj[key] for key in _TOP_LEVEL_KEYS if key in obj}
+    kwargs.update(
         dataset=_parse_dataset(obj["dataset"]),
-        solver=solver,
-        affinity=obj["affinity"],
         solver_config=solver_cfg,
         affinity_config=affinity_cfg,
-        **kwargs,
     )
+    return ExperimentConfig(**kwargs)
 
 
 def load_experiment_config(path) -> ExperimentConfig:

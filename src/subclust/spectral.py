@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .affinity import AffinityMatrix
-from .data import LabelVector
+from .data import LabelVector, canonical_signs
 from .errors import ConfigError, DataError, NumericalError
 
 LAPLACIANS = ("symmetric_normalized", "random_walk", "unnormalized")
@@ -42,28 +42,10 @@ class SpectralConfig:
             raise ConfigError(f"laplacian must be one of {LAPLACIANS}")
 
 
-@dataclass(frozen=True)
-class ClusteringOutcome:
-    """Predicted labels with the k-means inertia and optional accuracy."""
-
-    labels: LabelVector
-    kmeans_inertia: float
-    accuracy_percent: float | None = None
-
-
 def _affinity_values(W) -> np.ndarray:
     if isinstance(W, AffinityMatrix):
         return W.values
     return AffinityMatrix(values=np.asarray(W, dtype=np.float64), method="sm").values
-
-
-def _canonical_signs(vectors: np.ndarray) -> np.ndarray:
-    # make the largest-magnitude entry of each eigenvector positive
-    for j in range(vectors.shape[1]):
-        i = int(np.argmax(np.abs(vectors[:, j])))
-        if vectors[i, j] < 0:
-            vectors[:, j] = -vectors[:, j]
-    return vectors
 
 
 def spectral_embed(W, cfg: SpectralConfig) -> np.ndarray:
@@ -87,7 +69,7 @@ def spectral_embed(W, cfg: SpectralConfig) -> np.ndarray:
         if cfg.laplacian == "unnormalized":
             lap = np.diag(degrees) - values
             eigvals, eigvecs = np.linalg.eigh(lap)
-            embedding = _canonical_signs(eigvecs[:, : cfg.n_clusters].copy())
+            embedding = canonical_signs(eigvecs[:, : cfg.n_clusters].copy())
         else:
             inv_root = np.zeros(n)
             inv_root[~isolated] = 1.0 / np.sqrt(degrees[~isolated])
@@ -98,7 +80,7 @@ def spectral_embed(W, cfg: SpectralConfig) -> np.ndarray:
             top_vals = eigvals[-cfg.n_clusters :][::-1]
             # a numerically-zero eigenvalue spans an arbitrary basis; drop it
             top[:, np.abs(top_vals) <= 1e-12 * max(1.0, np.abs(eigvals).max())] = 0.0
-            top = _canonical_signs(top)
+            top = canonical_signs(top)
             if cfg.laplacian == "random_walk":
                 embedding = inv_root[:, None] * top
             else:
@@ -182,19 +164,16 @@ def kmeans(
     return best_labels
 
 
-def labels_inertia(points: np.ndarray, labels: np.ndarray) -> float:
-    """Within-cluster sum of squared distances to centroids."""
-    points = np.asarray(points, dtype=np.float64)
-    total = 0.0
-    for j in np.unique(labels):
-        block = points[labels == j]
-        total += float(np.sum((block - block.mean(axis=0)) ** 2))
-    return total
-
-
 def cluster(W, cfg: SpectralConfig) -> LabelVector:
     """Spectral embedding followed by k-means; returns predicted labels."""
-    return evaluate_clustering(W, cfg).labels
+    labels = kmeans(
+        spectral_embed(W, cfg),
+        cfg.n_clusters,
+        seed=cfg.seed,
+        restarts=cfg.kmeans_restarts,
+        max_iter=cfg.kmeans_max_iter,
+    )
+    return LabelVector(labels=labels, k=cfg.n_clusters)
 
 
 def _label_array(labels) -> np.ndarray:
@@ -223,21 +202,3 @@ def clustering_accuracy(pred, truth) -> float:
     rows, cols = linear_sum_assignment(contingency, maximize=True)
     matched = int(contingency[rows, cols].sum())
     return 100.0 * matched / p.size
-
-
-def evaluate_clustering(W, cfg: SpectralConfig, truth: LabelVector | None = None) -> ClusteringOutcome:
-    """Cluster W and score against ground truth when it is supplied."""
-    embedding = spectral_embed(W, cfg)
-    labels = kmeans(
-        embedding,
-        cfg.n_clusters,
-        seed=cfg.seed,
-        restarts=cfg.kmeans_restarts,
-        max_iter=cfg.kmeans_max_iter,
-    )
-    accuracy = clustering_accuracy(labels, truth) if truth is not None else None
-    return ClusteringOutcome(
-        labels=LabelVector(labels=labels, k=cfg.n_clusters),
-        kmeans_inertia=labels_inertia(embedding, labels),
-        accuracy_percent=accuracy,
-    )

@@ -5,8 +5,14 @@ import json
 import numpy as np
 import pytest
 
+import subclust.cli as cli
+import subclust.harness as harness
+from subclust.affinity import build_affinity
 from subclust.cli import main
-from subclust.data import load_dataset, load_matrix_binary
+from subclust.data import load_dataset, load_matrix_binary, prepare_dataset
+from subclust.harness import AFFINITY_ROWS, trial_seed
+from subclust.solvers import default_solver_config, solve
+from subclust.spectral import SpectralConfig, cluster
 
 
 def _write_synth(tmp_path, prefix="data", fmt="csv", seed=3):
@@ -99,6 +105,42 @@ class TestRun:
         assert C.shape == (36, 36) and W.shape == (36, 36)
         assert np.max(np.abs(W - W.T)) == 0.0
 
+    def test_dumps_come_from_the_scored_run(self, tmp_path, monkeypatch):
+        matrix, labels = _write_synth(tmp_path)
+        path = self._config(tmp_path, dataset={"matrix_path": matrix, "labels_path": labels})
+        calls = {"solve": 0, "load_dataset": 0}
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        # cli.solve too, so a solve outside the harness would be counted
+        for module, name in ((harness, "solve"), (cli, "solve"), (harness, "load_dataset")):
+            counted(module, name)
+        dumps = {kind: tmp_path / f"dump.{kind}" for kind in ("out", "coeff", "affinity", "labels")}
+        code = main(
+            [
+                "run", "--config", str(path), "--out", str(dumps["out"]),
+                "--dump-coeff", str(dumps["coeff"]), "--dump-affinity", str(dumps["affinity"]),
+                "--dump-labels", str(dumps["labels"]),
+            ]
+        )
+        assert code == 0
+        assert calls == {"solve": 1, "load_dataset": 1}
+
+        ds = prepare_dataset(load_dataset(matrix, labels), normalize=True)
+        C = solve("lsr", ds.matrix, default_solver_config("lsr"))
+        W = build_affinity("sm", C, ds.matrix)
+        pred = cluster(W, SpectralConfig(n_clusters=3, seed=trial_seed(2, 0)))
+        assert np.array_equal(load_matrix_binary(dumps["coeff"]), C.values)
+        assert np.array_equal(load_matrix_binary(dumps["affinity"]), W.values)
+        assert np.array_equal(np.loadtxt(dumps["labels"], dtype=np.int64), pred.labels)
+
     def test_unknown_config_key_exits_one(self, tmp_path, capsys):
         path = self._config(tmp_path, typo_key=1)
         assert main(["run", "--config", str(path)]) == 1
@@ -144,6 +186,25 @@ class TestGrid:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
+    def test_failed_cells_reported_on_stderr(self, tmp_path, monkeypatch, capsys):
+        matrix, labels = _write_synth(tmp_path)
+        real_solve = harness.solve
+
+        def flaky(solver, X, cfg):
+            if solver == "smr":
+                raise RuntimeError("synthetic failure")
+            return real_solve(solver, X, cfg)
+
+        monkeypatch.setattr(harness, "solve", flaky)
+        code = main(["grid", "--dataset", matrix, "--labels", labels, "--trials", "1"])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert "ERR" in captured.out
+        assert captured.err.splitlines() == [
+            f"subclust: cell smr+{a} failed: RuntimeError: synthetic failure"
+            for a in AFFINITY_ROWS
+        ]
+
     def test_missing_files_exit_two(self, tmp_path):
         assert main(
             ["grid", "--dataset", str(tmp_path / "a.csv"), "--labels", str(tmp_path / "b.txt")]
@@ -170,7 +231,6 @@ class TestGrid:
 
 class TestExitCodes:
     def test_numerical_failure_exits_three(self, tmp_path, monkeypatch, capsys):
-        import subclust.cli as cli
         from subclust.errors import NumericalError
 
         def boom(cfg):
@@ -191,7 +251,7 @@ class TestExitCodes:
         assert main(["run", "--config", str(path)]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
-    def test_dump_labels_and_resolve_flag(self, tmp_path):
+    def test_dump_labels(self, tmp_path):
         matrix, labels = _write_synth(tmp_path)
         cfg = {
             "dataset": {"matrix_path": matrix, "labels_path": labels},
@@ -200,10 +260,7 @@ class TestExitCodes:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         out_labels = tmp_path / "pred.labels"
-        code = main(
-            ["run", "--config", str(path), "--dump-labels", str(out_labels),
-             "--resolve-per-trial"]
-        )
+        code = main(["run", "--config", str(path), "--dump-labels", str(out_labels)])
         assert code == 0
         pred = np.loadtxt(out_labels, dtype=int)
         assert pred.shape == (36,)

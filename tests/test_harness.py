@@ -127,11 +127,6 @@ class TestRunExperiment:
         assert result.std == 0.0
         assert len(result.per_trial) == 1
 
-    def test_resolve_per_trial_matches(self):
-        base = run_experiment(_small_config())
-        resolved = run_experiment(_small_config(resolve_per_trial=True))
-        assert base.per_trial == resolved.per_trial
-
     def test_file_dataset_source(self, tmp_path):
         ds = generate_synthetic(SMALL_SPEC)
         save_dataset(ds, tmp_path / "m.csv", tmp_path / "l.txt", "csv")

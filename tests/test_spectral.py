@@ -11,7 +11,6 @@ from subclust import (
     cluster,
     clustering_accuracy,
     default_solver_config,
-    evaluate_clustering,
     generate_synthetic,
     kmeans,
     prepare_dataset,
@@ -19,7 +18,7 @@ from subclust import (
 )
 from subclust.affinity import build_sm
 from subclust.errors import ConfigError, DataError
-from subclust.spectral import labels_inertia, spectral_embed
+from subclust.spectral import spectral_embed
 
 
 def _block_affinity(sizes, weights, rng=None, noise=0.0):
@@ -107,7 +106,6 @@ class TestKMeans:
         pts = np.random.default_rng(2).standard_normal((6, 3))
         labels = kmeans(pts, 6, seed=0)
         assert sorted(labels.tolist()) == list(range(6))
-        assert labels_inertia(pts, labels) == 0.0
 
     def test_separated_blobs(self):
         rng = np.random.default_rng(3)
@@ -157,16 +155,6 @@ class TestCluster:
         perm = rng.permutation(18)
         acc2 = clustering_accuracy(cluster(W[np.ix_(perm, perm)], cfg), truth[perm])
         assert acc1 == acc2
-
-    def test_evaluate_clustering_outcome(self):
-        W = _block_affinity([5, 5], [0.9, 0.9])
-        truth = np.repeat([0, 1], 5)
-        from subclust.data import LabelVector
-
-        outcome = evaluate_clustering(W, SpectralConfig(n_clusters=2, seed=0), LabelVector(truth, 2))
-        assert outcome.accuracy_percent == 100.0
-        assert outcome.kmeans_inertia >= 0.0
-        assert outcome.labels.k == 2
 
 
 class TestAccuracy:
