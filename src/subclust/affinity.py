@@ -27,9 +27,7 @@ class AffinityConfig:
     k_top: int = 5  # ssm: entries kept per column
     alpha: float = 1.0  # svdm/ipm exponent
     rank_delta: float = 1e-4  # svdm: keep singular values >= rank_delta * largest
-    side: str = "rows_m"  # svdm: "rows_m" uses U*sqrt(S) rows, "cols_n" sqrt(S)*Vt columns
     ipm_denominator: str = "data_norms"  # ipm: "data_norms" or "coeff_norms"
-    zero_diagonal: bool = False  # optional post-step for spectral experiments
 
     def __post_init__(self):
         if self.k_top < 1:
@@ -38,8 +36,6 @@ class AffinityConfig:
             raise ConfigError("alpha must be positive")
         if not 0 < self.rank_delta < 1:
             raise ConfigError("rank_delta must lie in (0, 1)")
-        if self.side not in ("rows_m", "cols_n"):
-            raise ConfigError("side must be 'rows_m' or 'cols_n'")
         if self.ipm_denominator not in ("data_norms", "coeff_norms"):
             raise ConfigError("ipm_denominator must be 'data_norms' or 'coeff_norms'")
 
@@ -76,17 +72,10 @@ def _coeff_values(C) -> np.ndarray:
     return np.asarray(C, dtype=np.float64)
 
 
-def _finalize(W: np.ndarray, method: str, zero_diagonal: bool) -> AffinityMatrix:
-    if zero_diagonal:
-        np.fill_diagonal(W, 0.0)
-    return AffinityMatrix(values=W, method=method)
-
-
-def build_sm(C, cfg: AffinityConfig | None = None) -> AffinityMatrix:
+def build_sm(C) -> AffinityMatrix:
     """W = (|C| + |C|^T) / 2."""
     cv = np.abs(_coeff_values(C))
-    W = (cv + cv.T) / 2.0
-    return _finalize(W, "sm", cfg.zero_diagonal if cfg else False)
+    return AffinityMatrix(values=(cv + cv.T) / 2.0, method="sm")
 
 
 def top_k_per_column(C: np.ndarray, k: int) -> np.ndarray:
@@ -110,31 +99,27 @@ def build_ssm(C, cfg: AffinityConfig) -> AffinityMatrix:
     """Sparsify each column to its k_top largest magnitudes, then symmetrize."""
     cv = _coeff_values(C)
     kept = np.abs(top_k_per_column(cv, cfg.k_top))
-    W = (kept + kept.T) / 2.0
-    return _finalize(W, "ssm", cfg.zero_diagonal)
+    return AffinityMatrix(values=(kept + kept.T) / 2.0, method="ssm")
 
 
 def build_svdm(C, cfg: AffinityConfig) -> AffinityMatrix:
     """Absolute row cosines of the skinny-SVD factor, raised to 2*alpha.
 
-    The skinny SVD keeps singular values >= rank_delta * sigma_1; M is
-    U*sqrt(S) (side='rows_m') or sqrt(S)*Vt read columnwise (side='cols_n').
-    Vectors with zero norm yield zero affinities, including their diagonal.
+    The skinny SVD keeps singular values >= rank_delta * sigma_1 and
+    M = U*sqrt(S). Rows with zero norm yield zero affinities, including
+    their diagonal.
     """
     cv = _coeff_values(C)
     try:
-        U, s, Vt = np.linalg.svd(cv, full_matrices=False)
+        U, s, _ = np.linalg.svd(cv, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD of the coefficient matrix failed: {exc}") from exc
     n = cv.shape[0]
     if s.size == 0 or s[0] == 0.0:
-        return _finalize(np.zeros((n, n)), "svdm", cfg.zero_diagonal)
+        return AffinityMatrix(values=np.zeros((n, n)), method="svdm")
     keep = s >= cfg.rank_delta * s[0]
     root = np.sqrt(s[keep])
-    if cfg.side == "rows_m":
-        vectors = U[:, keep] * root[None, :]  # rows of M = U * sqrt(S)
-    else:
-        vectors = (root[:, None] * Vt[keep, :]).T  # columns of N = sqrt(S) * Vt
+    vectors = U[:, keep] * root[None, :]  # rows of M = U * sqrt(S)
     gram = vectors @ vectors.T
     gram = (gram + gram.T) / 2.0
     norms = np.linalg.norm(vectors, axis=1)
@@ -147,7 +132,7 @@ def build_svdm(C, cfg: AffinityConfig) -> AffinityMatrix:
     np.clip(cos, 0.0, 1.0, out=cos)
     W = cos ** (2.0 * cfg.alpha)
     W[~nz] = 0.0
-    return _finalize(W, "svdm", cfg.zero_diagonal)
+    return AffinityMatrix(values=W, method="svdm")
 
 
 def build_ipm(C, X: DataMatrix | None, cfg: AffinityConfig) -> AffinityMatrix:
@@ -179,7 +164,7 @@ def build_ipm(C, X: DataMatrix | None, cfg: AffinityConfig) -> AffinityMatrix:
     np.divide(np.abs(gram), denom, out=ratio, where=~degenerate)
     W = ratio**cfg.alpha
     W[degenerate] = 0.0
-    return _finalize(W, "ipm", cfg.zero_diagonal)
+    return AffinityMatrix(values=W, method="ipm")
 
 
 def build_affinity(
@@ -188,7 +173,7 @@ def build_affinity(
     """Dispatch to one of the four affinity builders by name."""
     cfg = cfg or AffinityConfig()
     if method == "sm":
-        return build_sm(C, cfg)
+        return build_sm(C)
     if method == "ssm":
         return build_ssm(C, cfg)
     if method == "svdm":

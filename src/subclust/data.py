@@ -121,9 +121,7 @@ def remap_labels(raw: np.ndarray) -> LabelVector:
 def _load_matrix_csv(path) -> np.ndarray:
     try:
         rows = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-    except (ValueError, OSError) as exc:
-        if isinstance(exc, OSError):
-            raise
+    except ValueError as exc:
         raise DataError(f"malformed CSV matrix file {path}: {exc}") from exc
     # one sample per row on disk -> columns in memory
     return rows.T
@@ -161,9 +159,7 @@ def save_matrix_binary(values: np.ndarray, path) -> None:
 def _load_labels(path) -> np.ndarray:
     try:
         raw = np.loadtxt(path, dtype=np.int64, ndmin=1)
-    except (ValueError, OSError) as exc:
-        if isinstance(exc, OSError):
-            raise
+    except ValueError as exc:
         raise DataError(f"malformed labels file {path}: {exc}") from exc
     return raw
 

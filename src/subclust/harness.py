@@ -25,9 +25,9 @@ from .data import (
     load_dataset,
     prepare_dataset,
 )
-from .errors import ConfigError
+from .errors import ConfigError, SubclustError
 from .solvers import SOLVERS, SolverConfig, default_solver_config, solve
-from .spectral import LAPLACIANS, SpectralConfig, clustering_accuracy, kmeans, spectral_embed
+from .spectral import SpectralConfig, clustering_accuracy, kmeans, spectral_embed
 
 SOLVER_COLUMNS = SOLVERS  # report column order
 AFFINITY_ROWS = AFFINITIES
@@ -62,8 +62,6 @@ class ExperimentConfig:
     normalize: bool = True
     trials: int = 20
     master_seed: int = 0
-    kmeans_restarts: int = 10
-    laplacian: str = "symmetric_normalized"
 
     def __post_init__(self):
         if self.solver not in SOLVERS:
@@ -74,8 +72,6 @@ class ExperimentConfig:
             raise ConfigError("n_clusters must be >= 2")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if self.laplacian not in LAPLACIANS:
-            raise ConfigError(f"laplacian must be one of {LAPLACIANS}")
 
 
 @dataclass(frozen=True)
@@ -190,17 +186,15 @@ def materialize_dataset(source: DatasetFiles | SyntheticSpec) -> Dataset:
     return load_dataset(source.matrix_path, source.labels_path, source.format)
 
 
-def _score_cell(ds, C, affinity, acfg, k, seeds, restarts, laplacian, t0):
+def _score_cell(ds, C, affinity, acfg, k, seeds, t0):
     """Build W from C, embed it once and score one seeded k-means run per seed.
 
     Returns W, the per-trial labels and the trial statistics, whose
     wall_time_s runs from t0 to the end of scoring.
     """
     W = build_affinity(affinity, C, ds.matrix, acfg)
-    embedding = spectral_embed(
-        W, SpectralConfig(n_clusters=k, kmeans_restarts=restarts, laplacian=laplacian)
-    )
-    labels = [kmeans(embedding, k, seed=seed, restarts=restarts) for seed in seeds]
+    embedding = spectral_embed(W, SpectralConfig(n_clusters=k))
+    labels = [kmeans(embedding, k, seed=seed) for seed in seeds]
     accuracies = [clustering_accuracy(trial, ds.truth) for trial in labels]
     fraction = 1.0 if C.report.converged else 0.0
     return W, labels, summarize_trials(accuracies, time.perf_counter() - t0, fraction)
@@ -217,10 +211,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     C = solve(cfg.solver, ds.matrix, cfg.solver_config or default_solver_config(cfg.solver))
     seeds = [trial_seed(cfg.master_seed, i) for i in range(cfg.trials)]
     W, labels, result = _score_cell(
-        ds, C, cfg.affinity, cfg.affinity_config, cfg.n_clusters, seeds,
-        cfg.kmeans_restarts, cfg.laplacian, t0,
+        ds, C, cfg.affinity, cfg.affinity_config, cfg.n_clusters, seeds, t0
     )
     return replace(result, artifacts=(C, W, LabelVector(labels[0], cfg.n_clusters)))
+
+
+# the failures a grid records per cell; anything else is a bug and propagates
+_CELL_ERRORS = (SubclustError, np.linalg.LinAlgError)
 
 
 @dataclass(frozen=True)
@@ -241,14 +238,14 @@ def run_grid(
     *,
     preset_name: str | None = None,
     n_clusters: int | None = None,
-    kmeans_restarts: int = 10,
-    laplacian: str = "symmetric_normalized",
 ) -> GridResult:
     """Run all 16 solver/affinity combinations on an already-prepared dataset.
 
     Each solver's coefficient matrix is computed once and reused across its
-    four affinities. A failing cell records its error and the grid continues.
-    A cell's wall_time_s covers affinity through scoring, not the solve.
+    four affinities. A cell that fails with a SubclustError or LinAlgError
+    records its error and the grid continues; any other exception is a bug
+    and propagates. A cell's wall_time_s covers affinity through scoring,
+    not the solve.
     """
     if presets is not None and preset_name is None:
         raise ConfigError("preset_name is required when a PresetTable is supplied")
@@ -264,7 +261,7 @@ def run_grid(
         )
         try:
             C = solve(solver, dataset.matrix, scfg)
-        except Exception as exc:  # a dead solver must not kill the grid
+        except _CELL_ERRORS as exc:  # a dead solver must not kill the grid
             for affinity in AFFINITY_ROWS:
                 errors[(solver, affinity)] = f"{type(exc).__name__}: {exc}"
             continue
@@ -277,9 +274,9 @@ def run_grid(
             t0 = time.perf_counter()
             try:
                 _, _, cells[(solver, affinity)] = _score_cell(
-                    dataset, C, affinity, acfg, k, seeds, kmeans_restarts, laplacian, t0
+                    dataset, C, affinity, acfg, k, seeds, t0
                 )
-            except Exception as exc:
+            except _CELL_ERRORS as exc:
                 errors[(solver, affinity)] = f"{type(exc).__name__}: {exc}"
     return GridResult(cells=cells, errors=errors, trials=trials, master_seed=master_seed)
 
@@ -316,30 +313,12 @@ def emit_table(grid: GridResult, format: str = "console") -> str:
     raise ConfigError(f"unknown table format {format!r}, expected 'console' or 'csv'")
 
 
+# config-file key -> SolverConfig field; the one rename is "lambda" -> lam
 _SOLVER_CONFIG_KEYS = {
-    "lambda": "lam",
-    "tol": "tol",
-    "max_iter": "max_iter",
-    "penalty_init": "penalty_init",
-    "penalty_growth": "penalty_growth",
-    "diag_constraint": "diag_constraint",
-    "k_graph": "k_graph",
-    "epsilon": "epsilon",
-    "lambda_z": "lambda_z",
+    "lambda" if f.name == "lam" else f.name: f.name for f in fields(SolverConfig)
 }
-
-_AFFINITY_CONFIG_KEYS = ("k_top", "alpha", "rank_delta", "side", "ipm_denominator", "zero_diagonal")
-
-_SYNTHETIC_KEYS = (
-    "num_subspaces",
-    "subspace_dim",
-    "ambient_dim",
-    "points_per_subspace",
-    "noise_sigma",
-    "seed",
-    "independent",
-)
-
+_AFFINITY_CONFIG_KEYS = tuple(f.name for f in fields(AffinityConfig))
+_SYNTHETIC_KEYS = tuple(f.name for f in fields(SyntheticSpec))
 _TOP_LEVEL_KEYS = tuple(f.name for f in fields(ExperimentConfig))
 
 

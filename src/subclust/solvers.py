@@ -37,10 +37,8 @@ class SolverConfig:
     max_iter: int = 200
     penalty_init: float | None = None
     penalty_growth: float = 1.1
-    diag_constraint: bool = False  # lsr only
     k_graph: int = 4  # smr only
     epsilon: float = 0.01  # smr only
-    lambda_z: float = 0.0  # ssc only; 0 disables the Frobenius slack term
 
     def __post_init__(self):
         if self.lam <= 0:
@@ -57,8 +55,6 @@ class SolverConfig:
             raise ConfigError("k_graph must be >= 1")
         if self.epsilon <= 0:
             raise ConfigError("epsilon must be positive")
-        if self.lambda_z < 0:
-            raise ConfigError("lambda_z must be nonnegative")
 
 
 _SOLVER_DEFAULTS = {
@@ -204,37 +200,20 @@ def _gram(X: DataMatrix) -> np.ndarray:
 def solve_lsr(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
     """Ridge-regularized self-expression with a closed-form solution.
 
-    Minimizes ||X - XC||_F^2 + lam*||C||_F^2; with diag_constraint the
-    diagonal of C is pinned to zero via the per-column closed form.
+    Minimizes ||X - XC||_F^2 + lam*||C||_F^2.
     """
     n = X.n
     G = _gram(X)
     scale = max(1.0, np.max(np.abs(G)))
     lhs = G + cfg.lam * np.eye(n)
     iterations = 1
-    if not cfg.diag_constraint:
-        C = np.linalg.solve(lhs, G)
+    C = np.linalg.solve(lhs, G)
+    resid = np.max(np.abs(lhs @ C - G)) / scale
+    # one step of iterative refinement if plain solve is not tight enough
+    while resid > cfg.tol and iterations < cfg.max_iter:
+        C += np.linalg.solve(lhs, G - lhs @ C)
         resid = np.max(np.abs(lhs @ C - G)) / scale
-        # one step of iterative refinement if plain solve is not tight enough
-        while resid > cfg.tol and iterations < cfg.max_iter:
-            C += np.linalg.solve(lhs, G - lhs @ C)
-            resid = np.max(np.abs(lhs @ C - G)) / scale
-            iterations += 1
-    else:
-        D = np.linalg.solve(lhs, np.eye(n))
-        C = np.eye(n) - D / np.diag(D)[None, :]
-        np.fill_diagonal(C, 0.0)
-        R = lhs @ C - G
-        np.fill_diagonal(R, 0.0)  # diagonal carries the constraint multipliers
-        resid = np.max(np.abs(R)) / scale
-        while resid > cfg.tol and iterations < cfg.max_iter:
-            D += np.linalg.solve(lhs, np.eye(n) - lhs @ D)
-            C = np.eye(n) - D / np.diag(D)[None, :]
-            np.fill_diagonal(C, 0.0)
-            R = lhs @ C - G
-            np.fill_diagonal(R, 0.0)
-            resid = np.max(np.abs(R)) / scale
-            iterations += 1
+        iterations += 1
 
     fit = X.values - X.values @ C
     objective = float(np.sum(fit * fit) + cfg.lam * np.sum(C * C))
@@ -285,10 +264,10 @@ def solve_smr(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
 def solve_ssc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
     """Sparse self-expression by alternating directions.
 
-    Minimizes ||C||_1 + lambda_e*||E||_1 (+ lambda_z/2*||Z||_F^2 when
-    lambda_z > 0) subject to X = XC + E (+ Z) and diag(C) = 0, with
-    lambda_e = lam / mu_e, mu_e = min_i max_{j != i} |x_i^T x_j|. The zero
-    diagonal is enforced by projection at every iterate, so it holds exactly.
+    Minimizes ||C||_1 + lambda_e*||E||_1 subject to X = XC + E and
+    diag(C) = 0, with lambda_e = lam / mu_e, mu_e = min_i max_{j != i}
+    |x_i^T x_j|. The zero diagonal is enforced by projection at every
+    iterate, so it holds exactly.
     Non-convergence within max_iter returns converged=False, not an error.
     """
     Xv = X.values
@@ -305,7 +284,6 @@ def solve_ssc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
     lambda_e = cfg.lam / mu_e
     rho1 = lambda_e  # penalty on the reconstruction constraint
     rho2 = cfg.penalty_init if cfg.penalty_init is not None else cfg.lam
-    use_z = cfg.lambda_z > 0
 
     lhs = rho1 * G + rho2 * np.eye(n)
     try:
@@ -316,31 +294,25 @@ def solve_ssc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
     A = np.zeros((n, n))  # quadratic-step coefficients, coupled to C
     C = np.zeros((n, n))
     E = np.zeros((d, n))
-    Z = np.zeros((d, n))
-    U1 = np.zeros((d, n))  # scaled dual of X = XA + E + Z
+    U1 = np.zeros((d, n))  # scaled dual of X = XA + E
     U2 = np.zeros((n, n))  # scaled dual of A = C
     history = []
     converged = False
     feas = gap = np.inf
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
-        rhs = rho1 * (Xv.T @ (Xv - E - Z + U1)) + rho2 * (C - U2)
+        rhs = rho1 * (Xv.T @ (Xv - E + U1)) + rho2 * (C - U2)
         A = scipy.linalg.cho_solve(chol, rhs)
         np.fill_diagonal(A, 0.0)
         C = soft_threshold(A + U2, 1.0 / rho2)
         np.fill_diagonal(C, 0.0)
         XA = Xv @ A
-        E = soft_threshold(Xv - XA - Z + U1, lambda_e / rho1)
-        if use_z:
-            Z = rho1 * (Xv - XA - E + U1) / (cfg.lambda_z + rho1)
-        U1 += Xv - XA - E - Z
+        E = soft_threshold(Xv - XA + U1, lambda_e / rho1)
+        U1 += Xv - XA - E
         U2 += A - C
 
-        obj = np.abs(C).sum() + lambda_e * np.abs(E).sum()
-        if use_z:
-            obj += 0.5 * cfg.lambda_z * np.sum(Z * Z)
-        history.append(float(obj))
-        feas = float(np.max(np.abs(Xv - Xv @ C - E - Z)))
+        history.append(float(np.abs(C).sum() + lambda_e * np.abs(E).sum()))
+        feas = float(np.max(np.abs(Xv - Xv @ C - E)))
         gap = float(np.max(np.abs(A - C)))
         if feas <= cfg.tol and gap <= cfg.tol:
             converged = True
@@ -351,43 +323,32 @@ def solve_ssc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
         primal_residual=max(feas, gap),
         objective=history[-1],
         converged=converged,
-        error_matrix_norms={
-            "E_l1": float(np.abs(E).sum()),
-            "Z_fro": float(np.linalg.norm(Z)),
-        },
+        error_matrix_norms={"E_l1": float(np.abs(E).sum())},
         objective_history=tuple(history),
     )
     return CoefficientMatrix(values=C, solver="ssc", report=report)
 
 
-def solve_lrrsc(
-    X: DataMatrix, cfg: SolverConfig, dictionary: np.ndarray | None = None
-) -> CoefficientMatrix:
+def solve_lrrsc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
     """Low-rank symmetric self-expression by inexact augmented Lagrangian.
 
-    Minimizes ||C||_* + lam*||E||_{2,1} subject to X = A C + E and C = C^T,
-    with A = X unless a same-width dictionary is supplied. The nuclear-norm
-    block is symmetrized after every singular-value-thresholding step and the
-    returned C is hard-symmetrized, so max|C - C^T| is exactly zero.
+    Minimizes ||C||_* + lam*||E||_{2,1} subject to X = XC + E and C = C^T.
+    The nuclear-norm block is symmetrized after every
+    singular-value-thresholding step and the returned C is hard-symmetrized,
+    so max|C - C^T| is exactly zero.
     Non-convergence within max_iter returns converged=False, not an error.
     """
     Xv = X.values
     d, n = Xv.shape
-    A = Xv if dictionary is None else np.asarray(dictionary, dtype=np.float64)
-    if A.shape[1] != n:
-        raise ConfigError(
-            f"dictionary must have {n} columns to keep C square, got {A.shape[1]}"
-        )
     mu = cfg.penalty_init if cfg.penalty_init is not None else 1e-6
     mu_max = 1e10
     scale = max(1.0, np.max(np.abs(Xv)))
 
-    AtA = A.T @ A
+    XtX = Xv.T @ Xv
     try:
-        chol = scipy.linalg.cho_factor(AtA + np.eye(n))
+        chol = scipy.linalg.cho_factor(XtX + np.eye(n))
     except scipy.linalg.LinAlgError as exc:
         raise NumericalError(f"LRRSC normal-equation factorization failed: {exc}") from exc
-    AtX = A.T @ Xv
 
     C = np.zeros((n, n))
     J = np.zeros((n, n))
@@ -400,8 +361,8 @@ def solve_lrrsc(
     for iterations in range(1, cfg.max_iter + 1):
         J = singular_value_threshold(C + Y2 / mu, 1.0 / mu)
         J = (J + J.T) / 2.0
-        C = scipy.linalg.cho_solve(chol, AtX - A.T @ E + J + (A.T @ Y1 - Y2) / mu)
-        residual = Xv - A @ C
+        C = scipy.linalg.cho_solve(chol, XtX - Xv.T @ E + J + (Xv.T @ Y1 - Y2) / mu)
+        residual = Xv - Xv @ C
         E = _shrink_columns(residual + Y1 / mu, cfg.lam / mu)
         leq1 = residual - E
         leq2 = C - J
@@ -410,7 +371,7 @@ def solve_lrrsc(
         if feas <= cfg.tol and gap <= cfg.tol:
             # re-check against the symmetrized C actually returned
             C_sym = (C + C.T) / 2.0
-            feas = float(np.max(np.abs(Xv - A @ C_sym - E))) / scale
+            feas = float(np.max(np.abs(Xv - Xv @ C_sym - E))) / scale
             gap = float(np.max(np.abs(C_sym - J))) / scale
             if feas <= cfg.tol and gap <= cfg.tol:
                 converged = True
@@ -421,7 +382,7 @@ def solve_lrrsc(
 
     C = (C + C.T) / 2.0
     if not converged:  # report the violation of the C actually returned
-        feas = float(np.max(np.abs(Xv - A @ C - E))) / scale
+        feas = float(np.max(np.abs(Xv - Xv @ C - E))) / scale
         gap = float(np.max(np.abs(C - J))) / scale
     e_l21 = float(np.sum(np.linalg.norm(E, axis=0)))
     nuclear = float(np.sum(np.linalg.svd(C, compute_uv=False)))

@@ -1,6 +1,6 @@
 """Spectral clustering of an affinity matrix plus the accuracy metric.
 
-The default pipeline is the symmetric-normalized embedding (top eigenvectors
+The pipeline is the symmetric-normalized embedding (top eigenvectors
 of D^{-1/2} W D^{-1/2}, rows renormalized) followed by k-means++ with
 restarts. All randomness comes from an explicit seed, so runs are exactly
 repeatable.
@@ -18,8 +18,6 @@ from .affinity import AffinityMatrix
 from .data import LabelVector, canonical_signs
 from .errors import ConfigError, DataError, NumericalError
 
-LAPLACIANS = ("symmetric_normalized", "random_walk", "unnormalized")
-
 
 @dataclass(frozen=True)
 class SpectralConfig:
@@ -27,19 +25,10 @@ class SpectralConfig:
 
     n_clusters: int
     seed: int = 0
-    kmeans_restarts: int = 10
-    kmeans_max_iter: int = 100
-    laplacian: str = "symmetric_normalized"
 
     def __post_init__(self):
         if self.n_clusters < 2:
             raise ConfigError("n_clusters must be >= 2")
-        if self.kmeans_restarts < 1:
-            raise ConfigError("kmeans_restarts must be >= 1")
-        if self.kmeans_max_iter < 1:
-            raise ConfigError("kmeans_max_iter must be >= 1")
-        if self.laplacian not in LAPLACIANS:
-            raise ConfigError(f"laplacian must be one of {LAPLACIANS}")
 
 
 def _affinity_values(W) -> np.ndarray:
@@ -49,10 +38,10 @@ def _affinity_values(W) -> np.ndarray:
 
 
 def spectral_embed(W, cfg: SpectralConfig) -> np.ndarray:
-    """Embed the graph nodes as rows of the leading Laplacian eigenvectors.
+    """Embed the graph nodes as rows of the leading eigenvectors of D^-1/2 W D^-1/2.
 
-    For the symmetric-normalized variant the rows are scaled to unit norm;
-    zero-degree nodes get an all-zero row and a warning.
+    The rows are scaled to unit norm; zero-degree nodes get an all-zero row
+    and a warning.
     """
     values = _affinity_values(W)
     n = values.shape[0]
@@ -65,30 +54,22 @@ def spectral_embed(W, cfg: SpectralConfig) -> np.ndarray:
             f"spectral_embed: {int(isolated.sum())} zero-degree node(s) get zero embeddings",
             stacklevel=2,
         )
+    inv_root = np.zeros(n)
+    inv_root[~isolated] = 1.0 / np.sqrt(degrees[~isolated])
+    sym = inv_root[:, None] * values * inv_root[None, :]
+    sym = (sym + sym.T) / 2.0
     try:
-        if cfg.laplacian == "unnormalized":
-            lap = np.diag(degrees) - values
-            eigvals, eigvecs = np.linalg.eigh(lap)
-            embedding = canonical_signs(eigvecs[:, : cfg.n_clusters].copy())
-        else:
-            inv_root = np.zeros(n)
-            inv_root[~isolated] = 1.0 / np.sqrt(degrees[~isolated])
-            sym = inv_root[:, None] * values * inv_root[None, :]
-            sym = (sym + sym.T) / 2.0
-            eigvals, eigvecs = np.linalg.eigh(sym)
-            top = eigvecs[:, -cfg.n_clusters :][:, ::-1].copy()
-            top_vals = eigvals[-cfg.n_clusters :][::-1]
-            # a numerically-zero eigenvalue spans an arbitrary basis; drop it
-            top[:, np.abs(top_vals) <= 1e-12 * max(1.0, np.abs(eigvals).max())] = 0.0
-            top = canonical_signs(top)
-            if cfg.laplacian == "random_walk":
-                embedding = inv_root[:, None] * top
-            else:
-                norms = np.linalg.norm(top, axis=1)
-                safe = np.where(norms > 0, norms, 1.0)
-                embedding = top / safe[:, None]
+        eigvals, eigvecs = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition of the Laplacian failed: {exc}") from exc
+    top = eigvecs[:, -cfg.n_clusters :][:, ::-1].copy()
+    top_vals = eigvals[-cfg.n_clusters :][::-1]
+    # a numerically-zero eigenvalue spans an arbitrary basis; drop it
+    top[:, np.abs(top_vals) <= 1e-12 * max(1.0, np.abs(eigvals).max())] = 0.0
+    top = canonical_signs(top)
+    norms = np.linalg.norm(top, axis=1)
+    safe = np.where(norms > 0, norms, 1.0)
+    embedding = top / safe[:, None]
     embedding[isolated, :] = 0.0
     return embedding
 
@@ -121,10 +102,10 @@ def _assign(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.nda
     return labels, np.maximum(d2[np.arange(points.shape[0]), labels], 0.0)
 
 
-def _lloyd(points, k, rng, max_iter):
+def _lloyd(points, k, rng):
     centers = _kmeans_plus_plus(points, k, rng)
     labels, dist = _assign(points, centers)
-    for _ in range(max_iter):
+    for _ in range(100):
         for j in range(k):
             mask = labels == j
             if np.any(mask):
@@ -139,16 +120,11 @@ def _lloyd(points, k, rng, max_iter):
     return labels, float(dist.sum())
 
 
-def kmeans(
-    points: np.ndarray,
-    k: int,
-    seed: int,
-    restarts: int = 10,
-    max_iter: int = 100,
-) -> np.ndarray:
+def kmeans(points: np.ndarray, k: int, seed: int, restarts: int = 10) -> np.ndarray:
     """k-means++ with restarts; returns the labels of the best-inertia run.
 
-    Deterministic for fixed (points, k, seed, restarts).
+    Each restart runs at most 100 Lloyd steps. Deterministic for fixed
+    (points, k, seed, restarts).
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -158,7 +134,7 @@ def kmeans(
     rng = np.random.default_rng(seed)
     best_labels, best_inertia = None, np.inf
     for _ in range(max(1, restarts)):
-        labels, inertia = _lloyd(points, k, rng, max_iter)
+        labels, inertia = _lloyd(points, k, rng)
         if inertia < best_inertia:
             best_labels, best_inertia = labels, inertia
     return best_labels
@@ -166,13 +142,7 @@ def kmeans(
 
 def cluster(W, cfg: SpectralConfig) -> LabelVector:
     """Spectral embedding followed by k-means; returns predicted labels."""
-    labels = kmeans(
-        spectral_embed(W, cfg),
-        cfg.n_clusters,
-        seed=cfg.seed,
-        restarts=cfg.kmeans_restarts,
-        max_iter=cfg.kmeans_max_iter,
-    )
+    labels = kmeans(spectral_embed(W, cfg), cfg.n_clusters, seed=cfg.seed)
     return LabelVector(labels=labels, k=cfg.n_clusters)
 
 

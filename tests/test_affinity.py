@@ -103,15 +103,6 @@ class TestSVDM:
         b = build_svdm(3.0 * C, AffinityConfig(alpha=1.5)).values
         assert np.max(np.abs(a - b)) <= 1e-10
 
-    def test_cols_side(self):
-        C = _random_coeff(8, n=6)
-        W = build_svdm(C, AffinityConfig(alpha=1.0, side="cols_n", rank_delta=1e-15))
-        _, s, Vt = np.linalg.svd(C)
-        N = np.sqrt(s)[:, None] * Vt
-        norms = np.linalg.norm(N, axis=0)
-        expected = (np.abs(N.T @ N) / np.outer(norms, norms)) ** 2.0
-        assert np.max(np.abs(W.values - expected)) <= 1e-10
-
     def test_zero_matrix(self):
         W = build_svdm(np.zeros((5, 5)), AffinityConfig())
         assert np.array_equal(W.values, np.zeros((5, 5)))
@@ -191,13 +182,6 @@ class TestSharedProperties:
             W = build_affinity(method, C, X, AffinityConfig(k_top=3, alpha=1.0))
             assert np.abs(W.values[:4, 4:]).max() <= 1e-8, method
 
-    def test_zero_diagonal_option(self):
-        C = np.abs(_random_coeff(21)) + 0.5
-        X = normalize_columns(DataMatrix(np.random.default_rng(0).standard_normal((4, 10))))
-        for method in ("sm", "ssm", "svdm", "ipm"):
-            W = build_affinity(method, C, X, AffinityConfig(k_top=3, zero_diagonal=True))
-            assert np.all(np.diag(W.values) == 0.0), method
-
     def test_unknown_method(self):
         with pytest.raises(ConfigError):
             build_affinity("heat", _random_coeff(22), None, AffinityConfig())
@@ -219,5 +203,3 @@ class TestAffinityMatrixValidation:
             AffinityConfig(alpha=0.0)
         with pytest.raises(ConfigError):
             AffinityConfig(rank_delta=1.0)
-        with pytest.raises(ConfigError):
-            AffinityConfig(side="diag")

@@ -10,6 +10,7 @@ import subclust.harness as harness
 from subclust.affinity import build_affinity
 from subclust.cli import main
 from subclust.data import load_dataset, load_matrix_binary, prepare_dataset
+from subclust.errors import NumericalError
 from subclust.harness import AFFINITY_ROWS, trial_seed
 from subclust.solvers import default_solver_config, solve
 from subclust.spectral import SpectralConfig, cluster
@@ -192,7 +193,7 @@ class TestGrid:
 
         def flaky(solver, X, cfg):
             if solver == "smr":
-                raise RuntimeError("synthetic failure")
+                raise NumericalError("synthetic failure")
             return real_solve(solver, X, cfg)
 
         monkeypatch.setattr(harness, "solve", flaky)
@@ -201,7 +202,7 @@ class TestGrid:
         captured = capsys.readouterr()
         assert "ERR" in captured.out
         assert captured.err.splitlines() == [
-            f"subclust: cell smr+{a} failed: RuntimeError: synthetic failure"
+            f"subclust: cell smr+{a} failed: NumericalError: synthetic failure"
             for a in AFFINITY_ROWS
         ]
 
@@ -231,8 +232,6 @@ class TestGrid:
 
 class TestExitCodes:
     def test_numerical_failure_exits_three(self, tmp_path, monkeypatch, capsys):
-        from subclust.errors import NumericalError
-
         def boom(cfg):
             raise NumericalError("eigensolver went sideways")
 

@@ -22,7 +22,7 @@ from subclust import (
     save_dataset,
     trial_seed,
 )
-from subclust.errors import ConfigError
+from subclust.errors import ConfigError, NumericalError
 from subclust.harness import AFFINITY_ROWS, GridResult, SOLVER_COLUMNS, summarize_trials
 
 SMALL_SPEC = SyntheticSpec(3, 3, 24, 12, 0.0, seed=4)
@@ -165,14 +165,21 @@ class TestRunGrid:
 
         def flaky(solver, X, cfg):
             if solver == "smr":
-                raise RuntimeError("synthetic failure")
+                raise NumericalError("synthetic failure")
             return real_solve(solver, X, cfg)
 
         monkeypatch.setattr(harness, "solve", flaky)
         grid = run_grid(ds, trials=2, master_seed=1)
         assert len(grid.cells) == 12
         assert set(grid.errors) == {("smr", a) for a in AFFINITY_ROWS}
-        assert "synthetic failure" in grid.errors[("smr", "sm")]
+        assert grid.errors[("smr", "sm")] == "NumericalError: synthetic failure"
+
+        def buggy(solver, X, cfg):
+            raise RuntimeError("internal bug")
+
+        monkeypatch.setattr(harness, "solve", buggy)
+        with pytest.raises(RuntimeError, match="internal bug"):  # a bug is not a cell failure
+            run_grid(ds, trials=2, master_seed=1)
 
     def test_preset_requires_name(self):
         ds = prepare_dataset(generate_synthetic(SMALL_SPEC), normalize=True)
@@ -283,6 +290,13 @@ class TestConfigParsing:
             lambda d: d["solver_config"].update({"lambda_e": 3}),
             lambda d: d["affinity_config"].update({"ktop": 3}),
             lambda d: d["dataset"]["synthetic"].update({"subspaces": 3}),
+            # former options are rejected, not silently ignored
+            lambda d: d.update({"laplacian": "random_walk"}),
+            lambda d: d.update({"kmeans_restarts": 3}),
+            lambda d: d["solver_config"].update({"diag_constraint": True}),
+            lambda d: d["solver_config"].update({"lambda_z": 1.0}),
+            lambda d: d["affinity_config"].update({"side": "cols_n"}),
+            lambda d: d["affinity_config"].update({"zero_diagonal": True}),
         ],
     )
     def test_unknown_keys_rejected(self, mutate):
@@ -326,5 +340,3 @@ class TestResultValidation:
             _small_config(trials=0)
         with pytest.raises(ConfigError):
             _small_config(solver="pca")
-        with pytest.raises(ConfigError):
-            _small_config(laplacian="mesh")

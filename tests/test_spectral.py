@@ -93,13 +93,6 @@ class TestEmbedding:
         with pytest.raises(ConfigError):
             spectral_embed(np.ones((3, 3)), SpectralConfig(n_clusters=4))
 
-    @pytest.mark.parametrize("variant", ["random_walk", "unnormalized"])
-    def test_other_laplacians_separate_blocks(self, variant):
-        W = _block_affinity([5, 5], [0.8, 0.8])
-        labels = cluster(W, SpectralConfig(n_clusters=2, seed=1, laplacian=variant))
-        truth = np.repeat([0, 1], 5)
-        assert clustering_accuracy(labels, truth) == 100.0
-
 
 class TestKMeans:
     def test_k_equals_n(self):
