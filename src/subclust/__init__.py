@@ -60,7 +60,6 @@ from .solvers import (
     solve_ssc,
 )
 from .spectral import (
-    SpectralConfig,
     cluster,
     clustering_accuracy,
     kmeans,

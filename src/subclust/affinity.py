@@ -26,7 +26,6 @@ class AffinityConfig:
 
     k_top: int = 5  # ssm: entries kept per column
     alpha: float = 1.0  # svdm/ipm exponent
-    rank_delta: float = 1e-4  # svdm: keep singular values >= rank_delta * largest
     ipm_denominator: str = "data_norms"  # ipm: "data_norms" or "coeff_norms"
 
     def __post_init__(self):
@@ -34,8 +33,6 @@ class AffinityConfig:
             raise ConfigError("k_top must be >= 1")
         if self.alpha <= 0:
             raise ConfigError("alpha must be positive")
-        if not 0 < self.rank_delta < 1:
-            raise ConfigError("rank_delta must lie in (0, 1)")
         if self.ipm_denominator not in ("data_norms", "coeff_norms"):
             raise ConfigError("ipm_denominator must be 'data_norms' or 'coeff_norms'")
 
@@ -60,10 +57,6 @@ class AffinityMatrix:
         if self.method not in AFFINITIES:
             raise ConfigError(f"unknown affinity method {self.method!r}")
         object.__setattr__(self, "values", v)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
 
 
 def _coeff_values(C) -> np.ndarray:
@@ -105,7 +98,7 @@ def build_ssm(C, cfg: AffinityConfig) -> AffinityMatrix:
 def build_svdm(C, cfg: AffinityConfig) -> AffinityMatrix:
     """Absolute row cosines of the skinny-SVD factor, raised to 2*alpha.
 
-    The skinny SVD keeps singular values >= rank_delta * sigma_1 and
+    The skinny SVD keeps singular values >= 1e-4 * sigma_1 and
     M = U*sqrt(S). Rows with zero norm yield zero affinities, including
     their diagonal.
     """
@@ -117,7 +110,7 @@ def build_svdm(C, cfg: AffinityConfig) -> AffinityMatrix:
     n = cv.shape[0]
     if s.size == 0 or s[0] == 0.0:
         return AffinityMatrix(values=np.zeros((n, n)), method="svdm")
-    keep = s >= cfg.rank_delta * s[0]
+    keep = s >= 1e-4 * s[0]
     root = np.sqrt(s[keep])
     vectors = U[:, keep] * root[None, :]  # rows of M = U * sqrt(S)
     gram = vectors @ vectors.T

@@ -78,7 +78,7 @@ def _build_parser() -> _Parser:
     grid.add_argument("--format", choices=("csv", "binary"), default="csv")
     grid.add_argument("--pca", type=int, default=None, help="PCA dimension before clustering")
     grid.add_argument("--no-normalize", action="store_true", help="skip column normalization")
-    grid.add_argument("--preset", choices=("yaleb", "ar", "usps"), help="parameter presets")
+    grid.add_argument("--preset", choices=PresetTable.builtin().datasets(), help="parameter presets")
     grid.add_argument("--clusters", type=int, default=None, help="number of clusters (default: from labels)")
     grid.add_argument("--trials", type=int, default=20)
     grid.add_argument("--seed", type=int, default=0, help="master seed for trial derivation")
@@ -110,7 +110,7 @@ def _cmd_run(args) -> int:
     print(
         f"{cfg.solver}+{cfg.affinity}: mean={result.mean:.2f} std={result.std:.2f} "
         f"max={result.max:.2f} min={result.min:.2f} "
-        f"(trials={len(result.per_trial)}, converged={result.solver_converged_fraction:.0%}, "
+        f"(trials={len(result.per_trial)}, converged={result.solver_converged:.0%}, "
         f"{result.wall_time_s:.1f}s)"
     )
     if args.out:

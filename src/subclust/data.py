@@ -92,20 +92,17 @@ class SyntheticSpec:
     points_per_subspace: int
     noise_sigma: float = 0.0
     seed: int = 0
-    independent: bool = True
 
     def __post_init__(self):
         if self.num_subspaces < 1 or self.subspace_dim < 1:
             raise ConfigError("num_subspaces and subspace_dim must be >= 1")
-        if self.ambient_dim < self.subspace_dim:
-            raise ConfigError("ambient_dim must be >= subspace_dim")
         if self.points_per_subspace < self.subspace_dim:
             raise ConfigError("points_per_subspace must be >= subspace_dim")
         if self.noise_sigma < 0:
             raise ConfigError("noise_sigma must be nonnegative")
         if self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
-        if self.independent and self.ambient_dim < self.num_subspaces * self.subspace_dim:
+        if self.ambient_dim < self.num_subspaces * self.subspace_dim:
             raise ConfigError(
                 "independent subspaces need ambient_dim >= num_subspaces * subspace_dim"
             )

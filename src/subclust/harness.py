@@ -27,7 +27,7 @@ from .data import (
 )
 from .errors import ConfigError, SubclustError
 from .solvers import SOLVERS, SolverConfig, default_solver_config, solve
-from .spectral import SpectralConfig, clustering_accuracy, kmeans, spectral_embed
+from .spectral import clustering_accuracy, kmeans, spectral_embed
 
 SOLVER_COLUMNS = SOLVERS  # report column order
 AFFINITY_ROWS = AFFINITIES
@@ -89,7 +89,7 @@ class ExperimentResult:
     min: float
     per_trial: tuple[float, ...]
     wall_time_s: float
-    solver_converged_fraction: float
+    solver_converged: bool
     artifacts: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -99,9 +99,7 @@ class ExperimentResult:
             raise ConfigError("standard deviation cannot be negative")
 
 
-def summarize_trials(
-    accuracies, wall_time_s: float, solver_converged_fraction: float
-) -> ExperimentResult:
+def summarize_trials(accuracies, wall_time_s: float, solver_converged: bool) -> ExperimentResult:
     """Aggregate per-trial accuracies with the sample (n-1) std convention."""
     acc = np.asarray(list(accuracies), dtype=np.float64)
     std = float(np.std(acc, ddof=1)) if acc.size > 1 else 0.0
@@ -112,7 +110,7 @@ def summarize_trials(
         min=float(np.min(acc)),
         per_trial=tuple(float(a) for a in acc),
         wall_time_s=wall_time_s,
-        solver_converged_fraction=solver_converged_fraction,
+        solver_converged=solver_converged,
     )
 
 
@@ -171,12 +169,8 @@ class PresetTable:
 
     def affinity_config(self, dataset: str, solver: str, affinity: str) -> AffinityConfig:
         params = self.cell(dataset, solver, affinity)
-        kwargs = {}
-        if "k_top" in params:
-            kwargs["k_top"] = int(params["k_top"])
-        if "alpha" in params:
-            kwargs["alpha"] = float(params["alpha"])
-        return AffinityConfig(**kwargs)
+        del params["lambda"]  # the solver's; k_top and alpha are AffinityConfig fields
+        return AffinityConfig(**params)
 
 
 def materialize_dataset(source: DatasetFiles | SyntheticSpec) -> Dataset:
@@ -193,11 +187,10 @@ def _score_cell(ds, C, affinity, acfg, k, seeds, t0):
     wall_time_s runs from t0 to the end of scoring.
     """
     W = build_affinity(affinity, C, ds.matrix, acfg)
-    embedding = spectral_embed(W, SpectralConfig(n_clusters=k))
+    embedding = spectral_embed(W, k)
     labels = [kmeans(embedding, k, seed=seed) for seed in seeds]
     accuracies = [clustering_accuracy(trial, ds.truth) for trial in labels]
-    fraction = 1.0 if C.report.converged else 0.0
-    return W, labels, summarize_trials(accuracies, time.perf_counter() - t0, fraction)
+    return W, labels, summarize_trials(accuracies, time.perf_counter() - t0, C.report.converged)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -250,6 +243,10 @@ def run_grid(
     if presets is not None and preset_name is None:
         raise ConfigError("preset_name is required when a PresetTable is supplied")
     k = n_clusters if n_clusters is not None else dataset.truth.k
+    if trials < 1:
+        raise ConfigError("trials must be >= 1")
+    if not 2 <= k <= dataset.matrix.n:
+        raise ConfigError(f"n_clusters must be in 2..{dataset.matrix.n}, got {k}")
     seeds = [trial_seed(master_seed, i) for i in range(trials)]
     cells = {}
     errors = {}
@@ -323,20 +320,20 @@ _TOP_LEVEL_KEYS = tuple(f.name for f in fields(ExperimentConfig))
 
 
 def _reject_unknown(obj: dict, allowed, context: str) -> None:
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{context} must be an object")
     unknown = set(obj) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {context}")
 
 
 def _parse_dataset(obj: dict) -> DatasetFiles | SyntheticSpec:
-    if not isinstance(obj, dict):
-        raise ConfigError("dataset must be an object")
+    _reject_unknown(obj, ("synthetic", "matrix_path", "labels_path", "format"), "dataset")
     if "synthetic" in obj:
         _reject_unknown(obj, ("synthetic",), "dataset")
         spec = obj["synthetic"]
         _reject_unknown(spec, _SYNTHETIC_KEYS, "dataset.synthetic")
         return SyntheticSpec(**spec)
-    _reject_unknown(obj, ("matrix_path", "labels_path", "format"), "dataset")
     for required in ("matrix_path", "labels_path"):
         if required not in obj:
             raise ConfigError(f"dataset.{required} is required")
@@ -344,37 +341,31 @@ def _parse_dataset(obj: dict) -> DatasetFiles | SyntheticSpec:
 
 
 def parse_experiment_config(obj: dict) -> ExperimentConfig:
-    """Build an ExperimentConfig from a JSON-style dict, rejecting unknown keys."""
-    if not isinstance(obj, dict):
-        raise ConfigError("experiment config must be an object")
+    """Build an ExperimentConfig from a JSON-style dict.
+
+    Unknown keys, a section that is not an object and a value of the wrong
+    type (such as "trials": "2") raise ConfigError.
+    """
     _reject_unknown(obj, _TOP_LEVEL_KEYS, "experiment config")
     for required in ("dataset", "solver", "affinity", "n_clusters"):
         if required not in obj:
             raise ConfigError(f"experiment config key {required!r} is required")
-    solver = obj["solver"]
-    if solver not in SOLVERS:
-        raise ConfigError(f"unknown solver {solver!r}")
-
-    solver_cfg = None
-    if "solver_config" in obj:
-        raw = obj["solver_config"]
-        _reject_unknown(raw, _SOLVER_CONFIG_KEYS, "solver_config")
-        solver_cfg = default_solver_config(
-            solver, **{_SOLVER_CONFIG_KEYS[key]: value for key, value in raw.items()}
-        )
-    affinity_cfg = AffinityConfig()
-    if "affinity_config" in obj:
-        raw = obj["affinity_config"]
-        _reject_unknown(raw, _AFFINITY_CONFIG_KEYS, "affinity_config")
-        affinity_cfg = AffinityConfig(**raw)
-
     kwargs = {key: obj[key] for key in _TOP_LEVEL_KEYS if key in obj}
-    kwargs.update(
-        dataset=_parse_dataset(obj["dataset"]),
-        solver_config=solver_cfg,
-        affinity_config=affinity_cfg,
-    )
-    return ExperimentConfig(**kwargs)
+    try:
+        if "solver_config" in obj:
+            raw = obj["solver_config"]
+            _reject_unknown(raw, _SOLVER_CONFIG_KEYS, "solver_config")
+            kwargs["solver_config"] = default_solver_config(
+                obj["solver"], **{_SOLVER_CONFIG_KEYS[key]: value for key, value in raw.items()}
+            )
+        if "affinity_config" in obj:
+            raw = obj["affinity_config"]
+            _reject_unknown(raw, _AFFINITY_CONFIG_KEYS, "affinity_config")
+            kwargs["affinity_config"] = AffinityConfig(**raw)
+        kwargs["dataset"] = _parse_dataset(obj["dataset"])
+        return ExperimentConfig(**kwargs)
+    except TypeError as exc:  # a JSON value of the wrong type met a comparison
+        raise ConfigError(f"experiment config has a value of the wrong type: {exc}") from exc
 
 
 def load_experiment_config(path) -> ExperimentConfig:

@@ -35,8 +35,6 @@ class SolverConfig:
     lam: float
     tol: float = 1e-4
     max_iter: int = 200
-    penalty_init: float | None = None
-    penalty_growth: float = 1.1
     k_graph: int = 4  # smr only
     epsilon: float = 0.01  # smr only
 
@@ -47,10 +45,6 @@ class SolverConfig:
             raise ConfigError("tol must be positive")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be >= 1")
-        if self.penalty_init is not None and self.penalty_init <= 0:
-            raise ConfigError("penalty_init must be positive")
-        if self.penalty_growth <= 1:
-            raise ConfigError("penalty_growth must be > 1")
         if self.k_graph < 1:
             raise ConfigError("k_graph must be >= 1")
         if self.epsilon <= 0:
@@ -60,7 +54,7 @@ class SolverConfig:
 _SOLVER_DEFAULTS = {
     "lsr": dict(lam=0.01, tol=1e-10, max_iter=5),
     "smr": dict(lam=100.0, tol=1e-6, max_iter=1),
-    "lrrsc": dict(lam=2.0, tol=1e-6, max_iter=1000, penalty_init=1e-6, penalty_growth=1.1),
+    "lrrsc": dict(lam=2.0, tol=1e-6, max_iter=1000),
     "ssc": dict(lam=20.0, tol=2e-4, max_iter=200),
 }
 
@@ -113,10 +107,6 @@ class CoefficientMatrix:
         if self.solver == "lrrsc" and np.max(np.abs(v - v.T)) > 1e-10:
             raise DataError("lrrsc coefficient matrix must be symmetric to 1e-10")
         object.__setattr__(self, "values", v)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass(frozen=True)
@@ -283,7 +273,7 @@ def solve_ssc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
         mu_e = 1.0
     lambda_e = cfg.lam / mu_e
     rho1 = lambda_e  # penalty on the reconstruction constraint
-    rho2 = cfg.penalty_init if cfg.penalty_init is not None else cfg.lam
+    rho2 = cfg.lam
 
     lhs = rho1 * G + rho2 * np.eye(n)
     try:
@@ -340,7 +330,8 @@ def solve_lrrsc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
     """
     Xv = X.values
     d, n = Xv.shape
-    mu = cfg.penalty_init if cfg.penalty_init is not None else 1e-6
+    mu = 1e-6
+    mu_growth = 1.1
     mu_max = 1e10
     scale = max(1.0, np.max(np.abs(Xv)))
 
@@ -378,7 +369,7 @@ def solve_lrrsc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
                 break
         Y1 += mu * leq1
         Y2 += mu * leq2
-        mu = min(mu * cfg.penalty_growth, mu_max)
+        mu = min(mu * mu_growth, mu_max)
 
     C = (C + C.T) / 2.0
     if not converged:  # report the violation of the C actually returned

@@ -9,7 +9,6 @@ repeatable.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -19,34 +18,22 @@ from .data import LabelVector, canonical_signs
 from .errors import ConfigError, DataError, NumericalError
 
 
-@dataclass(frozen=True)
-class SpectralConfig:
-    """Settings of the spectral clustering step."""
-
-    n_clusters: int
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.n_clusters < 2:
-            raise ConfigError("n_clusters must be >= 2")
-
-
 def _affinity_values(W) -> np.ndarray:
     if isinstance(W, AffinityMatrix):
         return W.values
     return AffinityMatrix(values=np.asarray(W, dtype=np.float64), method="sm").values
 
 
-def spectral_embed(W, cfg: SpectralConfig) -> np.ndarray:
+def spectral_embed(W, n_clusters: int) -> np.ndarray:
     """Embed the graph nodes as rows of the leading eigenvectors of D^-1/2 W D^-1/2.
 
-    The rows are scaled to unit norm; zero-degree nodes get an all-zero row
-    and a warning.
+    Needs 2 <= n_clusters <= n. The rows are scaled to unit norm; zero-degree
+    nodes get an all-zero row and a warning.
     """
     values = _affinity_values(W)
     n = values.shape[0]
-    if cfg.n_clusters > n:
-        raise ConfigError(f"n_clusters={cfg.n_clusters} exceeds the {n} samples")
+    if not 2 <= n_clusters <= n:
+        raise ConfigError(f"n_clusters must be in 2..{n}, got {n_clusters}")
     degrees = values.sum(axis=1)
     isolated = degrees == 0.0
     if np.any(isolated):
@@ -62,8 +49,8 @@ def spectral_embed(W, cfg: SpectralConfig) -> np.ndarray:
         eigvals, eigvecs = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition of the Laplacian failed: {exc}") from exc
-    top = eigvecs[:, -cfg.n_clusters :][:, ::-1].copy()
-    top_vals = eigvals[-cfg.n_clusters :][::-1]
+    top = eigvecs[:, -n_clusters:][:, ::-1].copy()
+    top_vals = eigvals[-n_clusters:][::-1]
     # a numerically-zero eigenvalue spans an arbitrary basis; drop it
     top[:, np.abs(top_vals) <= 1e-12 * max(1.0, np.abs(eigvals).max())] = 0.0
     top = canonical_signs(top)
@@ -120,11 +107,11 @@ def _lloyd(points, k, rng):
     return labels, float(dist.sum())
 
 
-def kmeans(points: np.ndarray, k: int, seed: int, restarts: int = 10) -> np.ndarray:
-    """k-means++ with restarts; returns the labels of the best-inertia run.
+def kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """k-means++ with 10 restarts; returns the labels of the best-inertia run.
 
     Each restart runs at most 100 Lloyd steps. Deterministic for fixed
-    (points, k, seed, restarts).
+    (points, k, seed).
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -133,17 +120,17 @@ def kmeans(points: np.ndarray, k: int, seed: int, restarts: int = 10) -> np.ndar
         raise ConfigError(f"k must be in 1..{points.shape[0]}, got {k}")
     rng = np.random.default_rng(seed)
     best_labels, best_inertia = None, np.inf
-    for _ in range(max(1, restarts)):
+    for _ in range(10):
         labels, inertia = _lloyd(points, k, rng)
         if inertia < best_inertia:
             best_labels, best_inertia = labels, inertia
     return best_labels
 
 
-def cluster(W, cfg: SpectralConfig) -> LabelVector:
+def cluster(W, n_clusters: int, seed: int = 0) -> LabelVector:
     """Spectral embedding followed by k-means; returns predicted labels."""
-    labels = kmeans(spectral_embed(W, cfg), cfg.n_clusters, seed=cfg.seed)
-    return LabelVector(labels=labels, k=cfg.n_clusters)
+    labels = kmeans(spectral_embed(W, n_clusters), n_clusters, seed=seed)
+    return LabelVector(labels=labels, k=n_clusters)
 
 
 def _label_array(labels) -> np.ndarray:

@@ -90,7 +90,7 @@ class TestSVDM:
 
     def test_half_alpha_reproduces_cosine_identity(self):
         C = _random_coeff(6, n=7)
-        W = build_svdm(C, AffinityConfig(alpha=0.5, rank_delta=1e-15))
+        W = build_svdm(C, AffinityConfig(alpha=0.5))
         U, s, _ = np.linalg.svd(C)
         M = U * np.sqrt(s)[None, :]
         norms = np.linalg.norm(M, axis=1)
@@ -111,7 +111,7 @@ class TestSVDM:
         C = _random_coeff(9, n=5)
         C[2, :] = 0.0
         C[:, 2] = 0.0
-        W = build_svdm(C, AffinityConfig(alpha=1.0, rank_delta=1e-15))
+        W = build_svdm(C, AffinityConfig(alpha=1.0))
         assert np.all(W.values[2, :] == 0.0) and np.all(W.values[:, 2] == 0.0)
 
 
@@ -201,5 +201,3 @@ class TestAffinityMatrixValidation:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             AffinityConfig(alpha=0.0)
-        with pytest.raises(ConfigError):
-            AffinityConfig(rank_delta=1.0)

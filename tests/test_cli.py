@@ -13,7 +13,7 @@ from subclust.data import load_dataset, load_matrix_binary, prepare_dataset
 from subclust.errors import NumericalError
 from subclust.harness import AFFINITY_ROWS, trial_seed
 from subclust.solvers import default_solver_config, solve
-from subclust.spectral import SpectralConfig, cluster
+from subclust.spectral import cluster
 
 
 def _write_synth(tmp_path, prefix="data", fmt="csv", seed=3):
@@ -137,7 +137,7 @@ class TestRun:
         ds = prepare_dataset(load_dataset(matrix, labels), normalize=True)
         C = solve("lsr", ds.matrix, default_solver_config("lsr"))
         W = build_affinity("sm", C, ds.matrix)
-        pred = cluster(W, SpectralConfig(n_clusters=3, seed=trial_seed(2, 0)))
+        pred = cluster(W, 3, seed=trial_seed(2, 0))
         assert np.array_equal(load_matrix_binary(dumps["coeff"]), C.values)
         assert np.array_equal(load_matrix_binary(dumps["affinity"]), W.values)
         assert np.array_equal(np.loadtxt(dumps["labels"], dtype=np.int64), pred.labels)
@@ -205,6 +205,17 @@ class TestGrid:
             f"subclust: cell smr+{a} failed: NumericalError: synthetic failure"
             for a in AFFINITY_ROWS
         ]
+
+    @pytest.mark.parametrize(
+        "flags", [["--trials", "0"], ["--clusters", "1"], ["--clusters", "37"]]
+    )
+    def test_bad_run_parameters_exit_one_without_a_table(self, tmp_path, capsys, flags):
+        matrix, labels = _write_synth(tmp_path)  # n = 36
+        capsys.readouterr()
+        assert main(["grid", "--dataset", matrix, "--labels", labels, *flags]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("subclust: config error:")
 
     def test_missing_files_exit_two(self, tmp_path):
         assert main(

@@ -113,7 +113,7 @@ class TestRunExperiment:
         assert result.std == pytest.approx(arr.std(ddof=1), abs=1e-9)
         assert result.max == pytest.approx(arr.max(), abs=1e-9)
         assert result.min == pytest.approx(arr.min(), abs=1e-9)
-        assert 0.0 <= result.solver_converged_fraction <= 1.0
+        assert isinstance(result.solver_converged, bool)
         assert result.wall_time_s > 0.0
 
     def test_deterministic(self):
@@ -185,6 +185,22 @@ class TestRunGrid:
         ds = prepare_dataset(generate_synthetic(SMALL_SPEC), normalize=True)
         with pytest.raises(ConfigError):
             run_grid(ds, PresetTable.builtin(), trials=1)
+
+    @pytest.mark.parametrize(
+        "trials, n_clusters, message",
+        [(0, None, "trials"), (2, 1, "n_clusters"), (2, 37, "n_clusters")],
+    )
+    def test_bad_run_parameters_rejected_before_solving(
+        self, monkeypatch, trials, n_clusters, message
+    ):
+        ds = prepare_dataset(generate_synthetic(SMALL_SPEC), normalize=True)  # n = 36
+
+        def no_solve(solver, X, cfg):
+            raise AssertionError("solved before the run parameters were checked")
+
+        monkeypatch.setattr(harness, "solve", no_solve)
+        with pytest.raises(ConfigError, match=message):
+            run_grid(ds, trials=trials, n_clusters=n_clusters)
 
 
 class TestEmitTable:
@@ -297,12 +313,31 @@ class TestConfigParsing:
             lambda d: d["solver_config"].update({"lambda_z": 1.0}),
             lambda d: d["affinity_config"].update({"side": "cols_n"}),
             lambda d: d["affinity_config"].update({"zero_diagonal": True}),
+            lambda d: d["solver_config"].update({"penalty_init": 1e-6}),
+            lambda d: d["solver_config"].update({"penalty_growth": 1.1}),
+            lambda d: d["affinity_config"].update({"rank_delta": 1e-4}),
+            lambda d: d["dataset"]["synthetic"].update({"independent": True}),
         ],
     )
     def test_unknown_keys_rejected(self, mutate):
         blob = json.loads(json.dumps(self.FULL))
         mutate(blob)
         with pytest.raises(ConfigError, match="unknown key"):
+            parse_experiment_config(blob)
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda d: d.update({"solver_config": 5}),
+            lambda d: d.update({"solver_config": ["lambda"]}),
+            lambda d: d.update({"dataset": {"synthetic": 5}}),
+            lambda d: d.update({"trials": "2"}),
+        ],
+    )
+    def test_malformed_values_rejected(self, mutate):
+        blob = json.loads(json.dumps(self.FULL))
+        mutate(blob)
+        with pytest.raises(ConfigError, match="must be an object|wrong type"):
             parse_experiment_config(blob)
 
     def test_missing_required(self):
@@ -323,7 +358,7 @@ class TestConfigParsing:
 
 class TestResultValidation:
     def test_summarize(self):
-        result = summarize_trials([50.0, 60.0, 70.0], 1.0, 1.0)
+        result = summarize_trials([50.0, 60.0, 70.0], 1.0, True)
         assert result.mean == 60.0
         assert result.min == 50.0 and result.max == 70.0
         assert result.std == pytest.approx(10.0)
@@ -332,7 +367,7 @@ class TestResultValidation:
         with pytest.raises(ConfigError):
             ExperimentResult(
                 mean=10.0, std=1.0, max=5.0, min=0.0, per_trial=(5.0,),
-                wall_time_s=0.1, solver_converged_fraction=1.0,
+                wall_time_s=0.1, solver_converged=True,
             )
 
     def test_experiment_config_validation(self):

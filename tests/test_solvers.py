@@ -296,15 +296,12 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SolverConfig(lam=1.0, tol=0.0)
         with pytest.raises(ConfigError):
-            SolverConfig(lam=1.0, penalty_growth=1.0)
-        with pytest.raises(ConfigError):
             SolverConfig(lam=1.0, epsilon=0.0)
 
     def test_default_configs_per_solver(self):
         assert default_solver_config("ssc").tol == 2e-4
         assert default_solver_config("ssc").max_iter == 200
         assert default_solver_config("lrrsc").max_iter == 1000
-        assert default_solver_config("lrrsc").penalty_init == 1e-6
         assert default_solver_config("smr").k_graph == 4
         assert default_solver_config("smr").epsilon == 0.01
         with pytest.raises(ConfigError):

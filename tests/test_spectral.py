@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from subclust import (
-    SpectralConfig,
     SyntheticSpec,
     cluster,
     clustering_accuracy,
@@ -49,24 +48,23 @@ def brute_force_accuracy(pred, truth):
 class TestEmbedding:
     def test_two_blocks_two_distinct_rows(self):
         W = _block_affinity([4, 5], [0.5, 0.9])
-        E = spectral_embed(W, SpectralConfig(n_clusters=2))
+        E = spectral_embed(W, 2)
         assert np.abs(E[:4] - E[0]).max() <= 1e-8
         assert np.abs(E[4:] - E[4]).max() <= 1e-8
         assert np.linalg.norm(E[0] - E[4]) > 0.1
 
     def test_all_ones_collapses(self):
         W = np.ones((9, 9))
-        E = spectral_embed(W, SpectralConfig(n_clusters=2))
+        E = spectral_embed(W, 2)
         assert np.abs(E - E[0]).max() <= 1e-8
 
     def test_permutation_equivariance_of_geometry(self):
         rng = np.random.default_rng(0)
         W = rng.random((14, 14))
         W = (W + W.T) / 2.0
-        cfg = SpectralConfig(n_clusters=3)
-        E1 = spectral_embed(W, cfg)
+        E1 = spectral_embed(W, 3)
         perm = rng.permutation(14)
-        E2 = spectral_embed(W[np.ix_(perm, perm)], cfg)
+        E2 = spectral_embed(W[np.ix_(perm, perm)], 3)
         D1 = np.linalg.norm(E1[:, None, :] - E1[None, :, :], axis=2)
         D2 = np.linalg.norm(E2[:, None, :] - E2[None, :, :], axis=2)
         assert np.abs(D1[np.ix_(perm, perm)] - D2).max() <= 1e-8
@@ -78,7 +76,7 @@ class TestEmbedding:
         W[3, :] = 0.0
         W[:, 3] = 0.0
         with pytest.warns(UserWarning, match="zero-degree"):
-            E = spectral_embed(W, SpectralConfig(n_clusters=3))
+            E = spectral_embed(W, 3)
         norms = np.linalg.norm(E, axis=1)
         assert np.all(E[3] == 0.0)
         keep = np.arange(10) != 3
@@ -86,12 +84,16 @@ class TestEmbedding:
 
     def test_shape(self):
         W = _block_affinity([3, 3, 3], [1.0, 1.0, 1.0])
-        E = spectral_embed(W, SpectralConfig(n_clusters=3))
+        E = spectral_embed(W, 3)
         assert E.shape == (9, 3)
 
     def test_n_clusters_exceeds_n(self):
         with pytest.raises(ConfigError):
-            spectral_embed(np.ones((3, 3)), SpectralConfig(n_clusters=4))
+            spectral_embed(np.ones((3, 3)), 4)
+
+    def test_n_clusters_below_two(self):
+        with pytest.raises(ConfigError, match="2..3"):
+            spectral_embed(np.ones((3, 3)), 1)
 
 
 class TestKMeans:
@@ -115,7 +117,7 @@ class TestKMeans:
     def test_seed_changes_runs(self):
         # different seeds explore different initializations on ambiguous data
         pts = np.random.default_rng(5).standard_normal((30, 2))
-        results = {tuple(kmeans(pts, 5, seed=s, restarts=1).tolist()) for s in range(8)}
+        results = {tuple(kmeans(pts, 5, seed=s).tolist()) for s in range(8)}
         assert len(results) > 1
 
     def test_k_out_of_range(self):
@@ -127,7 +129,7 @@ class TestKMeans:
 class TestCluster:
     def test_perfect_three_blocks(self):
         W = _block_affinity([5, 6, 7], [0.9, 0.7, 0.8])
-        labels = cluster(W, SpectralConfig(n_clusters=3, seed=0))
+        labels = cluster(W, 3, seed=0)
         truth = np.repeat([0, 1, 2], [5, 6, 7])
         assert clustering_accuracy(labels, truth) == 100.0
 
@@ -136,17 +138,16 @@ class TestCluster:
         ds = prepare_dataset(generate_synthetic(spec), normalize=True)
         C = solve_ssc(ds.matrix, default_solver_config("ssc"))
         W = build_sm(C)
-        labels = cluster(W, SpectralConfig(n_clusters=3, seed=5))
+        labels = cluster(W, 3, seed=5)
         assert clustering_accuracy(labels, ds.truth) == 100.0
 
     def test_permutation_invariance_of_accuracy(self):
         rng = np.random.default_rng(6)
         W = _block_affinity([6, 6, 6], [0.9, 0.9, 0.9], rng=rng, noise=0.05)
         truth = np.repeat([0, 1, 2], 6)
-        cfg = SpectralConfig(n_clusters=3, seed=3)
-        acc1 = clustering_accuracy(cluster(W, cfg), truth)
+        acc1 = clustering_accuracy(cluster(W, 3, seed=3), truth)
         perm = rng.permutation(18)
-        acc2 = clustering_accuracy(cluster(W[np.ix_(perm, perm)], cfg), truth[perm])
+        acc2 = clustering_accuracy(cluster(W[np.ix_(perm, perm)], 3, seed=3), truth[perm])
         assert acc1 == acc2
 
 
