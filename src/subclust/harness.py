@@ -10,6 +10,7 @@ is exactly reproducible.
 from __future__ import annotations
 
 import json
+import numbers
 import time
 from dataclasses import dataclass, field, fields, replace
 from importlib import resources
@@ -37,6 +38,17 @@ INDICATORS = ("Mean", "STD", "Max", "Min")
 def trial_seed(master_seed: int, trial_index: int) -> int:
     """Stable per-trial seed derived from the master seed."""
     return int(np.random.SeedSequence([master_seed, trial_index]).generate_state(1)[0])
+
+
+def _require_integer(name: str, value) -> None:
+    # a JSON 2.5 or true would pass the range checks and fail deep in a run
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} has the wrong type: expected an integer, got {value!r}")
+
+
+def _check_n_clusters(k: int, n: int) -> None:
+    if not 2 <= k <= n:
+        raise ConfigError(f"n_clusters must be in 2..{n}, got {k}")
 
 
 @dataclass(frozen=True)
@@ -68,10 +80,16 @@ class ExperimentConfig:
             raise ConfigError(f"unknown solver {self.solver!r}")
         if self.affinity not in AFFINITIES:
             raise ConfigError(f"unknown affinity {self.affinity!r}")
+        for name in ("n_clusters", "trials", "master_seed"):
+            _require_integer(name, getattr(self, name))
+        if self.pca_dim is not None:
+            _require_integer("pca_dim", self.pca_dim)
         if self.n_clusters < 2:
             raise ConfigError("n_clusters must be >= 2")
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.master_seed < 0:
+            raise ConfigError("master_seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -197,10 +215,12 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """Run one experiment: solve, build affinity, repeat seeded clustering trials.
 
     Unlike a grid cell, the result carries artifacts: the coefficient
-    matrix, the affinity and the trial-0 labels.
+    matrix, the affinity and the trial-0 labels. n_clusters is checked
+    against the number of points before the solve.
     """
     t0 = time.perf_counter()
     ds = prepare_dataset(materialize_dataset(cfg.dataset), cfg.pca_dim, cfg.normalize)
+    _check_n_clusters(cfg.n_clusters, ds.matrix.n)
     C = solve(cfg.solver, ds.matrix, cfg.solver_config or default_solver_config(cfg.solver))
     seeds = [trial_seed(cfg.master_seed, i) for i in range(cfg.trials)]
     W, labels, result = _score_cell(
@@ -245,8 +265,9 @@ def run_grid(
     k = n_clusters if n_clusters is not None else dataset.truth.k
     if trials < 1:
         raise ConfigError("trials must be >= 1")
-    if not 2 <= k <= dataset.matrix.n:
-        raise ConfigError(f"n_clusters must be in 2..{dataset.matrix.n}, got {k}")
+    if master_seed < 0:
+        raise ConfigError("master_seed must be >= 0")
+    _check_n_clusters(k, dataset.matrix.n)
     seeds = [trial_seed(master_seed, i) for i in range(trials)]
     cells = {}
     errors = {}

@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .data import DataMatrix
 from .errors import ConfigError, DataError, NumericalError
@@ -133,17 +132,25 @@ def soft_threshold(v, tau: float):
 
 
 def singular_value_threshold(M: np.ndarray, tau: float) -> np.ndarray:
-    """Shrink the singular values of M by tau (proximal map of the nuclear norm)."""
+    """Shrink the singular values of M by tau (proximal map of the nuclear norm).
+
+    No singular value exceeds ||M||_F, so when ||M||_F <= tau the result is
+    zero and no SVD is taken. The margin of 1e-12 keeps the skip to inputs
+    whose SVD path returns exact zeros too.
+    """
     if tau < 0:
         raise ConfigError("tau must be nonnegative")
+    M = np.asarray(M, dtype=np.float64)
+    if np.linalg.norm(M) <= tau * (1.0 - 1e-12):
+        return np.zeros_like(M)
     try:
-        U, s, Vt = np.linalg.svd(np.asarray(M, dtype=np.float64), full_matrices=False)
+        U, s, Vt = np.linalg.svd(M, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD failed: {exc}") from exc
     s = np.maximum(s - tau, 0.0)
     keep = int(np.sum(s > 0))
     if keep == 0:
-        return np.zeros_like(np.asarray(M, dtype=np.float64))
+        return np.zeros_like(M)
     return (U[:, :keep] * s[:keep]) @ Vt[:keep, :]
 
 
@@ -180,6 +187,21 @@ def build_knn_laplacian(X: DataMatrix, k_graph: int, epsilon: float) -> GraphLap
     deg = W.sum(axis=1)
     L_hat = np.diag(deg + epsilon) - W
     return GraphLaplacian(L_hat=L_hat, W_graph=W, D_diag=deg)
+
+
+def _ridge_solver(Xv: np.ndarray, rho1: float, rho2: float):
+    """Return R -> (rho1 * X^T X + rho2 * I)^-1 R, from one thin SVD of X.
+
+    With X = U diag(s) Vt, the inverse is (I - Vt^T diag(g) Vt) / rho2 with
+    g = rho1 s^2 / (rho1 s^2 + rho2), so each solve costs O(n^2 min(d, n))
+    instead of the O(n^3) of an n x n factorization.
+    """
+    try:
+        _, s, Vt = np.linalg.svd(Xv, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD of the data failed: {exc}") from exc
+    g = (rho1 * s**2 / (rho1 * s**2 + rho2))[:, None]
+    return lambda R: (R - Vt.T @ (g * (Vt @ R))) / rho2
 
 
 def _gram(X: DataMatrix) -> np.ndarray:
@@ -257,7 +279,8 @@ def solve_ssc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
     Minimizes ||C||_1 + lambda_e*||E||_1 subject to X = XC + E and
     diag(C) = 0, with lambda_e = lam / mu_e, mu_e = min_i max_{j != i}
     |x_i^T x_j|. The zero diagonal is enforced by projection at every
-    iterate, so it holds exactly.
+    iterate, so it holds exactly. Each iteration costs O(n^2 min(d, n)):
+    the quadratic step goes through one thin SVD of X taken before the loop.
     Non-convergence within max_iter returns converged=False, not an error.
     """
     Xv = X.values
@@ -275,11 +298,7 @@ def solve_ssc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
     rho1 = lambda_e  # penalty on the reconstruction constraint
     rho2 = cfg.lam
 
-    lhs = rho1 * G + rho2 * np.eye(n)
-    try:
-        chol = scipy.linalg.cho_factor(lhs)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalError(f"SSC normal-equation factorization failed: {exc}") from exc
+    ridge = _ridge_solver(Xv, rho1, rho2)
 
     A = np.zeros((n, n))  # quadratic-step coefficients, coupled to C
     C = np.zeros((n, n))
@@ -292,7 +311,7 @@ def solve_ssc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
         rhs = rho1 * (Xv.T @ (Xv - E + U1)) + rho2 * (C - U2)
-        A = scipy.linalg.cho_solve(chol, rhs)
+        A = ridge(rhs)
         np.fill_diagonal(A, 0.0)
         C = soft_threshold(A + U2, 1.0 / rho2)
         np.fill_diagonal(C, 0.0)
@@ -325,7 +344,9 @@ def solve_lrrsc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
     Minimizes ||C||_* + lam*||E||_{2,1} subject to X = XC + E and C = C^T.
     The nuclear-norm block is symmetrized after every
     singular-value-thresholding step and the returned C is hard-symmetrized,
-    so max|C - C^T| is exactly zero.
+    so max|C - C^T| is exactly zero. Each iteration costs O(n^2 min(d, n))
+    (the C step goes through one thin SVD of X taken before the loop) plus
+    one n x n SVD when the thresholding does not return zero.
     Non-convergence within max_iter returns converged=False, not an error.
     """
     Xv = X.values
@@ -336,10 +357,7 @@ def solve_lrrsc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
     scale = max(1.0, np.max(np.abs(Xv)))
 
     XtX = Xv.T @ Xv
-    try:
-        chol = scipy.linalg.cho_factor(XtX + np.eye(n))
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalError(f"LRRSC normal-equation factorization failed: {exc}") from exc
+    ridge = _ridge_solver(Xv, 1.0, 1.0)
 
     C = np.zeros((n, n))
     J = np.zeros((n, n))
@@ -352,7 +370,7 @@ def solve_lrrsc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
     for iterations in range(1, cfg.max_iter + 1):
         J = singular_value_threshold(C + Y2 / mu, 1.0 / mu)
         J = (J + J.T) / 2.0
-        C = scipy.linalg.cho_solve(chol, XtX - Xv.T @ E + J + (Xv.T @ Y1 - Y2) / mu)
+        C = ridge(XtX - Xv.T @ E + J + (Xv.T @ Y1 - Y2) / mu)
         residual = Xv - Xv @ C
         E = _shrink_columns(residual + Y1 / mu, cfg.lam / mu)
         leq1 = residual - E

@@ -147,6 +147,26 @@ class TestRun:
         assert main(["run", "--config", str(path)]) == 1
         assert "unknown key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"trials": 2.5},
+            {"n_clusters": 2.5},
+            {"pca_dim": 3.5},
+            {"master_seed": -1},
+            {"n_clusters": 100},
+        ],
+    )
+    def test_bad_settings_exit_one_before_solving(self, tmp_path, capsys, monkeypatch, extra):
+        def no_solve(solver, X, cfg):
+            raise AssertionError("solved before the settings were checked")
+
+        monkeypatch.setattr(harness, "solve", no_solve)
+        assert main(["run", "--config", str(self._config(tmp_path, **extra))]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("subclust: config error:")
+
     def test_missing_dataset_file_exits_two(self, tmp_path):
         cfg = {
             "dataset": {"matrix_path": str(tmp_path / "nope.csv"), "labels_path": str(tmp_path / "no.txt")},
@@ -207,7 +227,8 @@ class TestGrid:
         ]
 
     @pytest.mark.parametrize(
-        "flags", [["--trials", "0"], ["--clusters", "1"], ["--clusters", "37"]]
+        "flags",
+        [["--trials", "0"], ["--clusters", "1"], ["--clusters", "37"], ["--seed", "-1"]],
     )
     def test_bad_run_parameters_exit_one_without_a_table(self, tmp_path, capsys, flags):
         matrix, labels = _write_synth(tmp_path)  # n = 36

@@ -41,6 +41,10 @@ def _small_config(**overrides):
     return ExperimentConfig(**params)
 
 
+def _no_solve(solver, X, cfg):
+    raise AssertionError("solved before the run parameters were checked")
+
+
 class TestPresets:
     def test_covers_all_48_cells(self):
         table = PresetTable.builtin()
@@ -137,6 +141,11 @@ class TestRunExperiment:
         from_spec = run_experiment(_small_config())
         assert from_file.per_trial == from_spec.per_trial
 
+    def test_too_many_clusters_rejected_before_solving(self, monkeypatch):
+        monkeypatch.setattr(harness, "solve", _no_solve)
+        with pytest.raises(ConfigError, match=r"n_clusters must be in 2\.\.36, got 37"):
+            run_experiment(_small_config(n_clusters=37))
+
 
 class TestRunGrid:
     def test_sixteen_cells(self):
@@ -194,13 +203,15 @@ class TestRunGrid:
         self, monkeypatch, trials, n_clusters, message
     ):
         ds = prepare_dataset(generate_synthetic(SMALL_SPEC), normalize=True)  # n = 36
-
-        def no_solve(solver, X, cfg):
-            raise AssertionError("solved before the run parameters were checked")
-
-        monkeypatch.setattr(harness, "solve", no_solve)
+        monkeypatch.setattr(harness, "solve", _no_solve)
         with pytest.raises(ConfigError, match=message):
             run_grid(ds, trials=trials, n_clusters=n_clusters)
+
+    def test_negative_master_seed_rejected_before_solving(self, monkeypatch):
+        ds = prepare_dataset(generate_synthetic(SMALL_SPEC), normalize=True)
+        monkeypatch.setattr(harness, "solve", _no_solve)
+        with pytest.raises(ConfigError, match="master_seed"):
+            run_grid(ds, trials=2, master_seed=-1)
 
 
 class TestEmitTable:
@@ -332,6 +343,12 @@ class TestConfigParsing:
             lambda d: d.update({"solver_config": ["lambda"]}),
             lambda d: d.update({"dataset": {"synthetic": 5}}),
             lambda d: d.update({"trials": "2"}),
+            lambda d: d.update({"trials": 2.5}),
+            lambda d: d.update({"n_clusters": 2.5}),
+            lambda d: d.update({"pca_dim": 3.5}),
+            lambda d: d.update({"master_seed": 1.5}),
+            lambda d: d.update({"trials": True}),
+            lambda d: d.update({"n_clusters": False}),
         ],
     )
     def test_malformed_values_rejected(self, mutate):
@@ -373,5 +390,7 @@ class TestResultValidation:
     def test_experiment_config_validation(self):
         with pytest.raises(ConfigError):
             _small_config(trials=0)
+        with pytest.raises(ConfigError, match="master_seed"):
+            _small_config(master_seed=-1)
         with pytest.raises(ConfigError):
             _small_config(solver="pca")

@@ -3,7 +3,9 @@ four solvers against their stationarity/feasibility oracles."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+import subclust.solvers as solvers
 from subclust import (
     DataMatrix,
     SyntheticSpec,
@@ -31,6 +33,18 @@ def _noiseless_instance(seed=11):
 def _random_matrix(seed, d, n, normalize=True):
     X = DataMatrix(np.random.default_rng(seed).standard_normal((d, n)))
     return normalize_columns(X) if normalize else X
+
+
+def _svt_by_svd(M, tau):
+    """Reference SVT that always takes the SVD."""
+    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    return (U * np.maximum(s - tau, 0.0)) @ Vt
+
+
+def _cholesky_ridge(Xv, rho1, rho2):
+    """Reference ridge solve through an n x n Cholesky factorization."""
+    factor = scipy.linalg.cho_factor(rho1 * (Xv.T @ Xv) + rho2 * np.eye(Xv.shape[1]))
+    return lambda R: scipy.linalg.cho_solve(factor, R)
 
 
 def _offblock_ratio(C, labels):
@@ -63,6 +77,83 @@ class TestProximal:
     def test_svt_tau_zero_is_identity(self):
         M = np.random.default_rng(0).standard_normal((4, 4))
         assert np.max(np.abs(singular_value_threshold(M, 0.0) - M)) < 1e-10
+
+    @pytest.mark.parametrize("margin", [0.5, 1e-9], ids=["well-below", "just-below"])
+    @pytest.mark.parametrize("rank", [1, 4])
+    def test_svt_within_frobenius_norm_is_zero_without_svd(self, monkeypatch, rank, margin):
+        rng = np.random.default_rng(rank)
+        M = rng.standard_normal((6, rank)) @ rng.standard_normal((rank, 5))
+        tau = np.linalg.norm(M) * (1.0 + margin)
+        expected = _svt_by_svd(M, tau)
+        assert not np.any(expected)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("SVD taken although ||M||_F <= tau")
+
+        monkeypatch.setattr(solvers.np.linalg, "svd", no_svd)
+        out = singular_value_threshold(M, tau)
+        assert out.shape == M.shape
+        assert np.array_equal(out, expected)
+
+    def test_svt_above_frobenius_norm_matches_svd(self):
+        M = np.random.default_rng(3).standard_normal((6, 5))
+        tau = 0.5 * np.linalg.svd(M, compute_uv=False)[0]
+        out = singular_value_threshold(M, tau)
+        assert np.any(out)
+        assert np.max(np.abs(out - _svt_by_svd(M, tau))) <= 1e-12
+
+
+def _duplicate_columns():
+    X = np.random.default_rng(4).standard_normal((5, 9))
+    X[:, 6] = X[:, 2]
+    return X
+
+
+def _rank_deficient():
+    rng = np.random.default_rng(5)
+    return rng.standard_normal((7, 2)) @ rng.standard_normal((2, 10))
+
+
+class TestRidgeSolver:
+    @pytest.mark.parametrize(
+        "Xv",
+        [
+            np.random.default_rng(1).standard_normal((4, 11)),
+            np.random.default_rng(2).standard_normal((11, 4)),
+            _duplicate_columns(),
+            _rank_deficient(),
+        ],
+        ids=["d<n", "d>n", "duplicate-columns", "rank-deficient"],
+    )
+    @pytest.mark.parametrize("rho1, rho2", [(1.0, 1.0), (37.5, 20.0), (1e-3, 5.0)])
+    def test_matches_dense_solve(self, Xv, rho1, rho2):
+        n = Xv.shape[1]
+        R = np.random.default_rng(6).standard_normal((n, n))
+        expected = np.linalg.solve(rho1 * (Xv.T @ Xv) + rho2 * np.eye(n), R)
+        out = solvers._ridge_solver(Xv, rho1, rho2)(R)
+        assert np.max(np.abs(out - expected)) <= 1e-10 * max(1.0, np.max(np.abs(expected)))
+
+
+class TestAgainstCholeskyReference:
+    """The solvers against the same iterations with an n x n Cholesky solve
+    and an SVD at every thresholding."""
+
+    @pytest.mark.parametrize(
+        "solver_fn, name", [(solve_lrrsc, "lrrsc"), (solve_ssc, "ssc")], ids=["lrrsc", "ssc"]
+    )
+    def test_same_iterations_and_coefficients(self, monkeypatch, solver_fn, name):
+        spec = SyntheticSpec(3, 3, 40, 14, 0.05, seed=2)
+        X = prepare_dataset(generate_synthetic(spec), pca_dim=12, normalize=True).matrix
+        cfg = default_solver_config(name)
+        C = solver_fn(X, cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "_ridge_solver", _cholesky_ridge)
+            patch.setattr(solvers, "singular_value_threshold", _svt_by_svd)
+            ref = solver_fn(X, cfg)
+        assert C.report.iterations == ref.report.iterations
+        assert C.report.converged == ref.report.converged
+        assert np.max(np.abs(C.values - ref.values)) <= 1e-10
+        assert C.report.objective == pytest.approx(ref.report.objective, rel=1e-10)
 
 
 class TestKnnLaplacian:
