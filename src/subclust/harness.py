@@ -46,6 +46,17 @@ def _require_integer(name: str, value) -> None:
         raise ConfigError(f"{name} has the wrong type: expected an integer, got {value!r}")
 
 
+def _check_run_parameters(n_clusters, trials, master_seed) -> None:
+    """Type and range checks of the run parameters that need no data."""
+    _require_integer("n_clusters", n_clusters)
+    _require_integer("trials", trials)
+    _require_integer("master_seed", master_seed)
+    if trials < 1:
+        raise ConfigError("trials must be >= 1")
+    if master_seed < 0:
+        raise ConfigError("master_seed must be >= 0")
+
+
 def _check_n_clusters(k: int, n: int) -> None:
     if not 2 <= k <= n:
         raise ConfigError(f"n_clusters must be in 2..{n}, got {k}")
@@ -80,16 +91,11 @@ class ExperimentConfig:
             raise ConfigError(f"unknown solver {self.solver!r}")
         if self.affinity not in AFFINITIES:
             raise ConfigError(f"unknown affinity {self.affinity!r}")
-        for name in ("n_clusters", "trials", "master_seed"):
-            _require_integer(name, getattr(self, name))
+        _check_run_parameters(self.n_clusters, self.trials, self.master_seed)
         if self.pca_dim is not None:
             _require_integer("pca_dim", self.pca_dim)
         if self.n_clusters < 2:
             raise ConfigError("n_clusters must be >= 2")
-        if self.trials < 1:
-            raise ConfigError("trials must be >= 1")
-        if self.master_seed < 0:
-            raise ConfigError("master_seed must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -263,10 +269,7 @@ def run_grid(
     if presets is not None and preset_name is None:
         raise ConfigError("preset_name is required when a PresetTable is supplied")
     k = n_clusters if n_clusters is not None else dataset.truth.k
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
-    if master_seed < 0:
-        raise ConfigError("master_seed must be >= 0")
+    _check_run_parameters(k, trials, master_seed)
     _check_n_clusters(k, dataset.matrix.n)
     seeds = [trial_seed(master_seed, i) for i in range(trials)]
     cells = {}

@@ -33,7 +33,7 @@ class SolverConfig:
 
     lam: float
     tol: float = 1e-4
-    max_iter: int = 200
+    max_iter: int = 200  # lrrsc/ssc only
     k_graph: int = 4  # smr only
     epsilon: float = 0.01  # smr only
 
@@ -51,8 +51,8 @@ class SolverConfig:
 
 
 _SOLVER_DEFAULTS = {
-    "lsr": dict(lam=0.01, tol=1e-10, max_iter=5),
-    "smr": dict(lam=100.0, tol=1e-6, max_iter=1),
+    "lsr": dict(lam=0.01, tol=1e-10),
+    "smr": dict(lam=100.0, tol=1e-6),
     "lrrsc": dict(lam=2.0, tol=1e-6, max_iter=1000),
     "ssc": dict(lam=20.0, tol=2e-4, max_iter=200),
 }
@@ -125,10 +125,16 @@ class GraphLaplacian:
 
 
 def soft_threshold(v, tau: float):
-    """Entrywise shrinkage sign(v) * max(|v| - tau, 0)."""
+    """Entrywise shrinkage sign(v) * max(|v| - tau, 0), with +0.0 where v is +-0."""
     if tau < 0:
         raise ConfigError("tau must be nonnegative")
-    return np.sign(v) * np.maximum(np.abs(v) - tau, 0.0)
+    v = np.asarray(v, dtype=np.float64)
+    out = np.abs(v, out=np.empty_like(v))
+    out -= tau
+    np.maximum(out, 0.0, out=out)
+    np.copysign(out, v, out=out)
+    out[v == 0.0] = 0.0  # np.sign(-0.0) is +0.0
+    return out
 
 
 def singular_value_threshold(M: np.ndarray, tau: float) -> np.ndarray:
@@ -189,6 +195,15 @@ def build_knn_laplacian(X: DataMatrix, k_graph: int, epsilon: float) -> GraphLap
     return GraphLaplacian(L_hat=L_hat, W_graph=W, D_diag=deg)
 
 
+def _thin_svd(Xv: np.ndarray):
+    """(s, Vt) of the thin SVD X = U diag(s) Vt; Vt is min(d, n) x n."""
+    try:
+        _, s, Vt = np.linalg.svd(Xv, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"SVD of the data failed: {exc}") from exc
+    return s, Vt
+
+
 def _ridge_solver(Xv: np.ndarray, rho1: float, rho2: float):
     """Return R -> (rho1 * X^T X + rho2 * I)^-1 R, from one thin SVD of X.
 
@@ -196,10 +211,7 @@ def _ridge_solver(Xv: np.ndarray, rho1: float, rho2: float):
     g = rho1 s^2 / (rho1 s^2 + rho2), so each solve costs O(n^2 min(d, n))
     instead of the O(n^3) of an n x n factorization.
     """
-    try:
-        _, s, Vt = np.linalg.svd(Xv, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD of the data failed: {exc}") from exc
+    s, Vt = _thin_svd(Xv)
     g = (rho1 * s**2 / (rho1 * s**2 + rho2))[:, None]
     return lambda R: (R - Vt.T @ (g * (Vt @ R))) / rho2
 
@@ -209,33 +221,27 @@ def _gram(X: DataMatrix) -> np.ndarray:
     return (G + G.T) / 2.0
 
 
+def _one_step(C, solver: str, resid, objective: float, tol: float) -> CoefficientMatrix:
+    """C of a closed-form solve: one iteration, converged when resid <= tol."""
+    report = SolverReport(1, float(resid), objective, converged=bool(resid <= tol))
+    return CoefficientMatrix(values=C, solver=solver, report=report)
+
+
 def solve_lsr(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
     """Ridge-regularized self-expression with a closed-form solution.
 
-    Minimizes ||X - XC||_F^2 + lam*||C||_F^2.
+    Minimizes ||X - XC||_F^2 + lam*||C||_F^2. With X = U diag(s) Vt, the
+    minimizer (G + lam I)^-1 G of G = X^T X is Vt^T diag(s^2 / (s^2 + lam)) Vt.
     """
-    n = X.n
     G = _gram(X)
     scale = max(1.0, np.max(np.abs(G)))
-    lhs = G + cfg.lam * np.eye(n)
-    iterations = 1
-    C = np.linalg.solve(lhs, G)
-    resid = np.max(np.abs(lhs @ C - G)) / scale
-    # one step of iterative refinement if plain solve is not tight enough
-    while resid > cfg.tol and iterations < cfg.max_iter:
-        C += np.linalg.solve(lhs, G - lhs @ C)
-        resid = np.max(np.abs(lhs @ C - G)) / scale
-        iterations += 1
+    s, Vt = _thin_svd(X.values)
+    C = (Vt.T * (s**2 / (s**2 + cfg.lam))) @ Vt
+    resid = np.max(np.abs(G @ C + cfg.lam * C - G)) / scale
 
     fit = X.values - X.values @ C
     objective = float(np.sum(fit * fit) + cfg.lam * np.sum(C * C))
-    report = SolverReport(
-        iterations=iterations,
-        primal_residual=float(resid),
-        objective=objective,
-        converged=bool(resid <= cfg.tol),
-    )
-    return CoefficientMatrix(values=C, solver="lsr", report=report)
+    return _one_step(C, "lsr", resid, objective, cfg.tol)
 
 
 def solve_smr(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
@@ -243,34 +249,27 @@ def solve_smr(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
 
     Minimizes lam*||X - XC||_F^2 + tr(C L_hat C^T) where L_hat is the
     epsilon-regularized kNN Laplacian of X. The stationarity condition
-    lam*X^T X C + C L_hat = lam*X^T X is solved by eigendecomposing both
-    L_hat and the Gram matrix.
+    lam*X^T X C + C L_hat = lam*X^T X is solved by eigendecomposing L_hat
+    and taking the thin SVD of X; the null directions of X have zero gain.
     """
     lap = build_knn_laplacian(X, cfg.k_graph, cfg.epsilon)
     G = _gram(X)
     scale = max(1.0, np.max(np.abs(G)))
     try:
         theta, Q = np.linalg.eigh(lap.L_hat)
-        g, P = np.linalg.eigh(G)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-    g = np.clip(g, 0.0, None)
-    # per Laplacian eigendirection: (lam*G + theta_i I)^-1 lam*G q_i
-    T = P.T @ Q
-    gain = (cfg.lam * g[:, None]) / (cfg.lam * g[:, None] + theta[None, :])
-    C = P @ (gain * T) @ Q.T
+    s, Vt = _thin_svd(X.values)
+    # per Laplacian eigendirection: (lam*G + theta_i I)^-1 lam*G q_i, G = Vt^T diag(s^2) Vt
+    lam_g = cfg.lam * s[:, None] ** 2
+    gain = lam_g / (lam_g + theta[None, :])
+    C = Vt.T @ (gain * (Vt @ Q)) @ Q.T
 
     R = cfg.lam * (G @ C) + C @ lap.L_hat - cfg.lam * G
     resid = np.max(np.abs(R)) / scale
     fit = X.values - X.values @ C
     objective = float(cfg.lam * np.sum(fit * fit) + np.trace(C @ lap.L_hat @ C.T))
-    report = SolverReport(
-        iterations=1,
-        primal_residual=float(resid),
-        objective=objective,
-        converged=bool(resid <= cfg.tol),
-    )
-    return CoefficientMatrix(values=C, solver="smr", report=report)
+    return _one_step(C, "smr", resid, objective, cfg.tol)
 
 
 def solve_ssc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
@@ -287,8 +286,7 @@ def solve_ssc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
     d, n = Xv.shape
     if np.any(np.linalg.norm(Xv, axis=0) == 0.0):
         raise DataError("ssc requires nonzero columns; normalize the data first")
-    G = _gram(X)
-    offdiag = np.abs(G).copy()
+    offdiag = np.abs(_gram(X))
     np.fill_diagonal(offdiag, 0.0)
     mu_e = float(offdiag.max(axis=0).min())
     if mu_e <= 0.0:
@@ -356,7 +354,6 @@ def solve_lrrsc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
     mu_max = 1e10
     scale = max(1.0, np.max(np.abs(Xv)))
 
-    XtX = Xv.T @ Xv
     ridge = _ridge_solver(Xv, 1.0, 1.0)
 
     C = np.zeros((n, n))
@@ -370,7 +367,7 @@ def solve_lrrsc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
     for iterations in range(1, cfg.max_iter + 1):
         J = singular_value_threshold(C + Y2 / mu, 1.0 / mu)
         J = (J + J.T) / 2.0
-        C = ridge(XtX - Xv.T @ E + J + (Xv.T @ Y1 - Y2) / mu)
+        C = ridge(Xv.T @ (Xv - E + Y1 / mu) + J - Y2 / mu)
         residual = Xv - Xv @ C
         E = _shrink_columns(residual + Y1 / mu, cfg.lam / mu)
         leq1 = residual - E
@@ -389,10 +386,9 @@ def solve_lrrsc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
         Y2 += mu * leq2
         mu = min(mu * mu_growth, mu_max)
 
-    C = (C + C.T) / 2.0
-    if not converged:  # report the violation of the C actually returned
-        feas = float(np.max(np.abs(Xv - Xv @ C - E))) / scale
-        gap = float(np.max(np.abs(C - J))) / scale
+    C = (C + C.T) / 2.0  # report the violation of the C actually returned
+    feas = float(np.max(np.abs(Xv - Xv @ C - E))) / scale
+    gap = float(np.max(np.abs(C - J))) / scale
     e_l21 = float(np.sum(np.linalg.norm(E, axis=0)))
     nuclear = float(np.sum(np.linalg.svd(C, compute_uv=False)))
     report = SolverReport(

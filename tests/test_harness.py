@@ -213,6 +213,22 @@ class TestRunGrid:
         with pytest.raises(ConfigError, match="master_seed"):
             run_grid(ds, trials=2, master_seed=-1)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("trials", 2.5),
+            ("trials", True),
+            ("master_seed", 1.5),
+            ("n_clusters", 2.5),
+            ("n_clusters", np.float64(3.0)),
+        ],
+    )
+    def test_non_integer_run_parameters_rejected_before_solving(self, monkeypatch, name, value):
+        ds = prepare_dataset(generate_synthetic(SMALL_SPEC), normalize=True)
+        monkeypatch.setattr(harness, "solve", _no_solve)
+        with pytest.raises(ConfigError, match=f"{name} has the wrong type"):
+            run_grid(ds, **{name: value})
+
 
 class TestEmitTable:
     def _grid(self):
