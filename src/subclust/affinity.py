@@ -2,7 +2,7 @@
 
 Four builders: plain symmetrization (sm), per-column top-k sparsification
 followed by symmetrization (ssm), row-cosines of the skinny-SVD factor
-(svdm), and normalized coefficient inner products (ipm). Every builder
+(svdm), and coefficient inner products over the data norms (ipm). Every builder
 returns a symmetric, nonnegative, finite matrix.
 """
 
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataMatrix
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError, require_integer
 from .solvers import CoefficientMatrix
 
 AFFINITIES = ("sm", "ssm", "svdm", "ipm")
@@ -26,15 +26,13 @@ class AffinityConfig:
 
     k_top: int = 5  # ssm: entries kept per column
     alpha: float = 1.0  # svdm/ipm exponent
-    ipm_denominator: str = "data_norms"  # ipm: "data_norms" or "coeff_norms"
 
     def __post_init__(self):
+        require_integer("k_top", self.k_top)
         if self.k_top < 1:
             raise ConfigError("k_top must be >= 1")
         if self.alpha <= 0:
             raise ConfigError("alpha must be positive")
-        if self.ipm_denominator not in ("data_norms", "coeff_norms"):
-            raise ConfigError("ipm_denominator must be 'data_norms' or 'coeff_norms'")
 
 
 @dataclass(frozen=True)
@@ -42,7 +40,6 @@ class AffinityMatrix:
     """Symmetric nonnegative n x n similarity matrix for spectral clustering."""
 
     values: np.ndarray
-    method: str
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
@@ -54,8 +51,6 @@ class AffinityMatrix:
             raise DataError("affinity matrix is not symmetric")
         if v.min() < 0:
             raise DataError("affinity matrix has negative entries")
-        if self.method not in AFFINITIES:
-            raise ConfigError(f"unknown affinity method {self.method!r}")
         object.__setattr__(self, "values", v)
 
 
@@ -68,7 +63,7 @@ def _coeff_values(C) -> np.ndarray:
 def build_sm(C) -> AffinityMatrix:
     """W = (|C| + |C|^T) / 2."""
     cv = np.abs(_coeff_values(C))
-    return AffinityMatrix(values=(cv + cv.T) / 2.0, method="sm")
+    return AffinityMatrix(values=(cv + cv.T) / 2.0)
 
 
 def top_k_per_column(C: np.ndarray, k: int) -> np.ndarray:
@@ -92,7 +87,7 @@ def build_ssm(C, cfg: AffinityConfig) -> AffinityMatrix:
     """Sparsify each column to its k_top largest magnitudes, then symmetrize."""
     cv = _coeff_values(C)
     kept = np.abs(top_k_per_column(cv, cfg.k_top))
-    return AffinityMatrix(values=(kept + kept.T) / 2.0, method="ssm")
+    return AffinityMatrix(values=(kept + kept.T) / 2.0)
 
 
 def build_svdm(C, cfg: AffinityConfig) -> AffinityMatrix:
@@ -109,7 +104,7 @@ def build_svdm(C, cfg: AffinityConfig) -> AffinityMatrix:
         raise NumericalError(f"SVD of the coefficient matrix failed: {exc}") from exc
     n = cv.shape[0]
     if s.size == 0 or s[0] == 0.0:
-        return AffinityMatrix(values=np.zeros((n, n)), method="svdm")
+        return AffinityMatrix(values=np.zeros((n, n)))
     keep = s >= 1e-4 * s[0]
     root = np.sqrt(s[keep])
     vectors = U[:, keep] * root[None, :]  # rows of M = U * sqrt(S)
@@ -125,26 +120,22 @@ def build_svdm(C, cfg: AffinityConfig) -> AffinityMatrix:
     np.clip(cos, 0.0, 1.0, out=cos)
     W = cos ** (2.0 * cfg.alpha)
     W[~nz] = 0.0
-    return AffinityMatrix(values=W, method="svdm")
+    return AffinityMatrix(values=W)
 
 
 def build_ipm(C, X: DataMatrix | None, cfg: AffinityConfig) -> AffinityMatrix:
-    """Normalized absolute inner products of coefficient columns, to power alpha.
+    """Absolute inner products of coefficient columns over the data norms, to power alpha.
 
-    data_norms mode divides |c_i^T c_j| by ||x_i||*||x_j||; coeff_norms mode
-    divides by ||c_i||*||c_j|| and does not need X. Pairs with a zero
+    W_ij = (|c_i^T c_j| / (||x_i|| * ||x_j||))^alpha. Pairs with a zero
     denominator are set to zero with a warning.
     """
     cv = _coeff_values(C)
     n = cv.shape[0]
-    if cfg.ipm_denominator == "data_norms":
-        if X is None:
-            raise ConfigError("ipm with data_norms needs the data matrix")
-        if X.n != n:
-            raise DataError(f"data matrix has {X.n} samples but C is {n}x{n}")
-        norms = np.linalg.norm(X.values, axis=0)
-    else:
-        norms = np.linalg.norm(cv, axis=0)
+    if X is None:
+        raise ConfigError("ipm needs the data matrix")
+    if X.n != n:
+        raise DataError(f"data matrix has {X.n} samples but C is {n}x{n}")
+    norms = np.linalg.norm(X.values, axis=0)
     gram = cv.T @ cv
     gram = (gram + gram.T) / 2.0
     denom = np.outer(norms, norms)
@@ -157,7 +148,7 @@ def build_ipm(C, X: DataMatrix | None, cfg: AffinityConfig) -> AffinityMatrix:
     np.divide(np.abs(gram), denom, out=ratio, where=~degenerate)
     W = ratio**cfg.alpha
     W[degenerate] = 0.0
-    return AffinityMatrix(values=W, method="ipm")
+    return AffinityMatrix(values=W)
 
 
 def build_affinity(

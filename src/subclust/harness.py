@@ -10,7 +10,6 @@ is exactly reproducible.
 from __future__ import annotations
 
 import json
-import numbers
 import time
 from dataclasses import dataclass, field, fields, replace
 from importlib import resources
@@ -26,7 +25,7 @@ from .data import (
     load_dataset,
     prepare_dataset,
 )
-from .errors import ConfigError, SubclustError
+from .errors import ConfigError, SubclustError, require_integer
 from .solvers import SOLVERS, SolverConfig, default_solver_config, solve
 from .spectral import clustering_accuracy, kmeans, spectral_embed
 
@@ -40,17 +39,11 @@ def trial_seed(master_seed: int, trial_index: int) -> int:
     return int(np.random.SeedSequence([master_seed, trial_index]).generate_state(1)[0])
 
 
-def _require_integer(name: str, value) -> None:
-    # a JSON 2.5 or true would pass the range checks and fail deep in a run
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{name} has the wrong type: expected an integer, got {value!r}")
-
-
 def _check_run_parameters(n_clusters, trials, master_seed) -> None:
     """Type and range checks of the run parameters that need no data."""
-    _require_integer("n_clusters", n_clusters)
-    _require_integer("trials", trials)
-    _require_integer("master_seed", master_seed)
+    require_integer("n_clusters", n_clusters)
+    require_integer("trials", trials)
+    require_integer("master_seed", master_seed)
     if trials < 1:
         raise ConfigError("trials must be >= 1")
     if master_seed < 0:
@@ -93,7 +86,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown affinity {self.affinity!r}")
         _check_run_parameters(self.n_clusters, self.trials, self.master_seed)
         if self.pca_dim is not None:
-            _require_integer("pca_dim", self.pca_dim)
+            require_integer("pca_dim", self.pca_dim)
         if self.n_clusters < 2:
             raise ConfigError("n_clusters must be >= 2")
 
@@ -139,17 +132,26 @@ def summarize_trials(accuracies, wall_time_s: float, solver_converged: bool) -> 
 
 
 class PresetTable:
-    """Per-(dataset, solver, affinity) parameter presets for reproduction runs."""
+    """Per-(dataset, solver, affinity) parameter presets for reproduction runs.
+
+    Each solver entry holds its lambda and, per affinity that takes
+    parameters, a block of AffinityConfig fields, such as
+    {"lambda": 0.2, "ssm": {"k_top": 7}, "svdm": {"alpha": 4.0}}.
+    """
 
     def __init__(self, table: dict):
         for name, block in table.items():
             if set(block) != {"pipeline", "solvers"}:
                 raise ConfigError(f"preset block {name!r} must have pipeline and solvers")
             for solver in SOLVER_COLUMNS:
-                cell = block["solvers"].get(solver)
-                if cell is None or set(cell) != {"lambda", "ssm_k", "svdm_alpha", "ipm_alpha"}:
-                    raise ConfigError(
-                        f"preset {name!r}/{solver!r} needs lambda, ssm_k, svdm_alpha, ipm_alpha"
+                entry = block["solvers"].get(solver)
+                context = f"preset {name!r}/{solver!r}"
+                _reject_unknown(entry, ("lambda", *AFFINITY_ROWS), context)
+                if "lambda" not in entry:
+                    raise ConfigError(f"{context} needs lambda")
+                for affinity in AFFINITY_ROWS:
+                    _reject_unknown(
+                        entry.get(affinity, {}), _AFFINITY_CONFIG_KEYS, f"{context}/{affinity!r}"
                     )
         self.table = table
 
@@ -171,25 +173,20 @@ class PresetTable:
     def pipeline(self, dataset: str) -> dict:
         return dict(self._block(dataset)["pipeline"])
 
-    def cell(self, dataset: str, solver: str, affinity: str) -> dict:
-        """Parameters of one grid cell: lambda plus k_top or alpha when used."""
+    def _entry(self, dataset: str, solver: str) -> dict:
         if solver not in SOLVER_COLUMNS:
             raise ConfigError(f"unknown solver {solver!r}")
+        return self._block(dataset)["solvers"][solver]
+
+    def cell(self, dataset: str, solver: str, affinity: str) -> dict:
+        """Parameters of one grid cell: lambda plus k_top or alpha when used."""
         if affinity not in AFFINITY_ROWS:
             raise ConfigError(f"unknown affinity {affinity!r}")
-        raw = self._block(dataset)["solvers"][solver]
-        out = {"lambda": raw["lambda"]}
-        if affinity == "ssm":
-            out["k_top"] = raw["ssm_k"]
-        elif affinity == "svdm":
-            out["alpha"] = raw["svdm_alpha"]
-        elif affinity == "ipm":
-            out["alpha"] = raw["ipm_alpha"]
-        return out
+        raw = self._entry(dataset, solver)
+        return {"lambda": raw["lambda"], **raw.get(affinity, {})}
 
     def solver_config(self, dataset: str, solver: str) -> SolverConfig:
-        raw = self._block(dataset)["solvers"][solver]
-        return default_solver_config(solver, lam=raw["lambda"])
+        return default_solver_config(solver, lam=self._entry(dataset, solver)["lambda"])
 
     def affinity_config(self, dataset: str, solver: str, affinity: str) -> AffinityConfig:
         params = self.cell(dataset, solver, affinity)

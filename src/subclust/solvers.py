@@ -14,9 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataMatrix
-from .errors import ConfigError, DataError, NumericalError
-
-SOLVERS = ("lsr", "smr", "lrrsc", "ssc")
+from .errors import ConfigError, DataError, NumericalError, require_integer
 
 
 @dataclass(frozen=True)
@@ -34,37 +32,15 @@ class SolverConfig:
     lam: float
     tol: float = 1e-4
     max_iter: int = 200  # lrrsc/ssc only
-    k_graph: int = 4  # smr only
-    epsilon: float = 0.01  # smr only
 
     def __post_init__(self):
+        require_integer("max_iter", self.max_iter)
         if self.lam <= 0:
             raise ConfigError("lam must be positive")
         if self.tol <= 0:
             raise ConfigError("tol must be positive")
         if self.max_iter < 1:
             raise ConfigError("max_iter must be >= 1")
-        if self.k_graph < 1:
-            raise ConfigError("k_graph must be >= 1")
-        if self.epsilon <= 0:
-            raise ConfigError("epsilon must be positive")
-
-
-_SOLVER_DEFAULTS = {
-    "lsr": dict(lam=0.01, tol=1e-10),
-    "smr": dict(lam=100.0, tol=1e-6),
-    "lrrsc": dict(lam=2.0, tol=1e-6, max_iter=1000),
-    "ssc": dict(lam=20.0, tol=2e-4, max_iter=200),
-}
-
-
-def default_solver_config(solver: str, **overrides) -> SolverConfig:
-    """Build the per-solver default SolverConfig, with keyword overrides."""
-    if solver not in SOLVERS:
-        raise ConfigError(f"unknown solver {solver!r}, expected one of {SOLVERS}")
-    params = dict(_SOLVER_DEFAULTS[solver])
-    params.update(overrides)
-    return SolverConfig(**params)
 
 
 @dataclass(frozen=True)
@@ -247,12 +223,14 @@ def solve_lsr(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
 def solve_smr(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
     """Graph-smoothed self-expression via an exact Sylvester solve.
 
-    Minimizes lam*||X - XC||_F^2 + tr(C L_hat C^T) where L_hat is the
-    epsilon-regularized kNN Laplacian of X. The stationarity condition
-    lam*X^T X C + C L_hat = lam*X^T X is solved by eigendecomposing L_hat
-    and taking the thin SVD of X; the null directions of X have zero gain.
+    Minimizes lam*||X - XC||_F^2 + tr(C L_hat C^T) where L_hat is the kNN
+    Laplacian of X with k = min(4, n - 1), regularized by epsilon = 0.01:
+    k is 4 from n = 5 on, and at n <= 4 every other point is a neighbor.
+    The stationarity condition lam*X^T X C + C L_hat = lam*X^T X is solved
+    by eigendecomposing L_hat and taking the thin SVD of X; the null
+    directions of X have zero gain.
     """
-    lap = build_knn_laplacian(X, cfg.k_graph, cfg.epsilon)
+    lap = build_knn_laplacian(X, min(4, X.n - 1), 0.01)
     G = _gram(X)
     scale = max(1.0, np.max(np.abs(G)))
     try:
@@ -401,16 +379,27 @@ def solve_lrrsc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
     return CoefficientMatrix(values=C, solver="lrrsc", report=report)
 
 
-_SOLVE_FUNCS = {
-    "lsr": solve_lsr,
-    "smr": solve_smr,
-    "lrrsc": solve_lrrsc,
-    "ssc": solve_ssc,
+# name -> (solve function, default SolverConfig fields)
+_SOLVERS = {
+    "lsr": (solve_lsr, dict(lam=0.01, tol=1e-10)),
+    "smr": (solve_smr, dict(lam=100.0, tol=1e-6)),
+    "lrrsc": (solve_lrrsc, dict(lam=2.0, tol=1e-6, max_iter=1000)),
+    "ssc": (solve_ssc, dict(lam=20.0, tol=2e-4, max_iter=200)),
 }
+SOLVERS = tuple(_SOLVERS)
+
+
+def _lookup(solver: str):
+    if solver not in SOLVERS:
+        raise ConfigError(f"unknown solver {solver!r}, expected one of {SOLVERS}")
+    return _SOLVERS[solver]
+
+
+def default_solver_config(solver: str, **overrides) -> SolverConfig:
+    """Build the per-solver default SolverConfig, with keyword overrides."""
+    return SolverConfig(**{**_lookup(solver)[1], **overrides})
 
 
 def solve(solver: str, X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
     """Dispatch to one of the four solvers by name."""
-    if solver not in _SOLVE_FUNCS:
-        raise ConfigError(f"unknown solver {solver!r}, expected one of {SOLVERS}")
-    return _SOLVE_FUNCS[solver](X, cfg)
+    return _lookup(solver)[0](X, cfg)

@@ -21,7 +21,7 @@ from .errors import ConfigError, DataError, NumericalError
 def _affinity_values(W) -> np.ndarray:
     if isinstance(W, AffinityMatrix):
         return W.values
-    return AffinityMatrix(values=np.asarray(W, dtype=np.float64), method="sm").values
+    return AffinityMatrix(values=W).values
 
 
 def spectral_embed(W, n_clusters: int) -> np.ndarray:

@@ -10,8 +10,8 @@ import subclust.harness as harness
 from subclust.affinity import build_affinity
 from subclust.cli import main
 from subclust.data import load_dataset, load_matrix_binary, prepare_dataset
-from subclust.errors import NumericalError
-from subclust.harness import AFFINITY_ROWS, trial_seed
+from subclust.errors import ConfigError, NumericalError
+from subclust.harness import AFFINITY_ROWS, parse_experiment_config, trial_seed
 from subclust.solvers import default_solver_config, solve
 from subclust.spectral import cluster
 
@@ -166,6 +166,39 @@ class TestRun:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("subclust: config error:")
+
+    @pytest.mark.parametrize("section, key", [("solver_config", "max_iter"), ("affinity_config", "k_top")])
+    @pytest.mark.parametrize("value", [2.5, True])
+    def test_non_integer_setting_exits_one_before_solving(
+        self, tmp_path, capsys, monkeypatch, section, key, value
+    ):
+        path = self._config(tmp_path, **{section: {key: value}})
+        with pytest.raises(ConfigError, match=f"{key} has the wrong type"):
+            parse_experiment_config(json.loads(path.read_text()))
+
+        def no_solve(solver, X, cfg):
+            raise AssertionError("solved before the settings were checked")
+
+        monkeypatch.setattr(harness, "solve", no_solve)
+        assert main(["run", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("subclust: config error:")
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("solver_config", "k_graph", 4),
+            ("solver_config", "epsilon", 0.01),
+            ("affinity_config", "ipm_denominator", "data_norms"),
+        ],
+    )
+    def test_removed_settings_exit_one_before_loading(self, tmp_path, capsys, section, key, value):
+        # the data files do not exist, so a run that got as far as loading would exit 2
+        missing = {"matrix_path": str(tmp_path / "no.csv"), "labels_path": str(tmp_path / "no.txt")}
+        path = self._config(tmp_path, dataset=missing, **{section: {key: value}})
+        assert main(["run", "--config", str(path)]) == 1
+        assert f"unknown key(s) ['{key}']" in capsys.readouterr().err
 
     def test_missing_dataset_file_exits_two(self, tmp_path):
         cfg = {

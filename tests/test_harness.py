@@ -13,6 +13,7 @@ from subclust import (
     ExperimentResult,
     PresetTable,
     SyntheticSpec,
+    default_solver_config,
     emit_table,
     generate_synthetic,
     parse_experiment_config,
@@ -84,7 +85,7 @@ class TestPresets:
     def test_config_builders(self):
         table = PresetTable.builtin()
         scfg = table.solver_config("yaleb", "smr")
-        assert scfg.lam == 2.0**15 and scfg.k_graph == 4
+        assert scfg == default_solver_config("smr", lam=2.0**15)
         acfg = table.affinity_config("yaleb", "lrrsc", "ssm")
         assert acfg.k_top == 7
         assert table.affinity_config("yaleb", "lsr", "sm") == AffinityConfig()
@@ -93,9 +94,62 @@ class TestPresets:
         with pytest.raises(ConfigError):
             PresetTable.builtin().cell("coil20", "lsr", "sm")
 
+    def test_unknown_solver(self):
+        table = PresetTable.builtin()
+        with pytest.raises(ConfigError, match="unknown solver"):
+            table.cell("yaleb", "pca", "sm")
+        with pytest.raises(ConfigError, match="unknown solver"):
+            table.solver_config("yaleb", "pca")
+
     def test_malformed_table_rejected(self):
         with pytest.raises(ConfigError):
             PresetTable({"x": {"pipeline": {}, "solvers": {"lsr": {"lambda": 1.0}}}})
+
+    # the flat layout the table had before its affinity blocks used AffinityConfig
+    # field names: (lambda, ssm_k, svdm_alpha, ipm_alpha) per dataset and solver
+    FLAT = {
+        "yaleb": {
+            "lsr": (0.01, 5, 3.0, 6.0),
+            "smr": (32768.0, 5, 5.0, 5.0),
+            "lrrsc": (0.2, 7, 4.0, 3.0),
+            "ssc": (20.0, 5, 2.0, 3.0),
+        },
+        "ar": {
+            "lsr": (0.01, 5, 1.0, 1.0),
+            "smr": (1048576.0, 5, 1.0, 5.0),
+            "lrrsc": (2.0, 5, 1.0, 1.0),
+            "ssc": (20.0, 8, 0.125, 1.0),
+        },
+        "usps": {
+            "lsr": (5.0, 7, 3.0, 1.0),
+            "smr": (1.52587890625e-05, 5, 3.0, 1.0),
+            "lrrsc": (0.001, 7, 4.0, 2.0),
+            "ssc": (10.0, 8, 1.0, 4.0),
+        },
+    }
+
+    def test_cells_match_the_flat_layout(self):
+        table = PresetTable.builtin()
+        assert set(table.datasets()) == set(self.FLAT)
+        for dataset, solvers in self.FLAT.items():
+            for solver, (lam, ssm_k, svdm_alpha, ipm_alpha) in solvers.items():
+                expected = {
+                    "sm": {"lambda": lam},
+                    "ssm": {"lambda": lam, "k_top": ssm_k},
+                    "svdm": {"lambda": lam, "alpha": svdm_alpha},
+                    "ipm": {"lambda": lam, "alpha": ipm_alpha},
+                }
+                for affinity in AFFINITY_ROWS:
+                    cell = table.cell(dataset, solver, affinity)
+                    assert cell == expected[affinity], (dataset, solver, affinity)
+                    assert all(type(cell[k]) is type(v) for k, v in expected[affinity].items())
+
+    @pytest.mark.parametrize("block", [{"k": 5}, 5])
+    def test_bad_affinity_block_rejected(self, block):
+        raw = json.loads(json.dumps(PresetTable.builtin().table))
+        raw["ar"]["solvers"]["lrrsc"]["ssm"] = block
+        with pytest.raises(ConfigError, match="unknown key|must be an object"):
+            PresetTable(raw)
 
 
 class TestTrialSeeds:

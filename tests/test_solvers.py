@@ -210,9 +210,8 @@ class TestClosedFormsAgainstDenseReference:
         ref = _lsr_by_lu(Xv, lam)
         assert np.max(np.abs(lsr.values - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
         assert lsr.report.converged and lsr.report.iterations == 1
-        cfg = default_solver_config("smr", lam=lam, k_graph=3)
-        smr = solve_smr(X, cfg)
-        ref = _smr_by_gram_eigh(Xv, lam, build_knn_laplacian(X, 3, cfg.epsilon).L_hat)
+        smr = solve_smr(X, default_solver_config("smr", lam=lam))
+        ref = _smr_by_gram_eigh(Xv, lam, build_knn_laplacian(X, min(4, X.n - 1), 0.01).L_hat)
         assert np.max(np.abs(smr.values - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
         assert smr.report.converged
 
@@ -294,10 +293,10 @@ class TestSMR:
     @pytest.mark.parametrize("seed", range(10))
     def test_stationarity_residual(self, seed):
         X = _random_matrix(seed, 6, 10, normalize=False)
-        cfg = default_solver_config("smr", lam=1.0, k_graph=3)
+        cfg = default_solver_config("smr", lam=1.0)
         C = solve_smr(X, cfg)
         G = X.values.T @ X.values
-        lap = build_knn_laplacian(X, cfg.k_graph, cfg.epsilon)
+        lap = build_knn_laplacian(X, 4, 0.01)
         R = cfg.lam * (G @ C.values) + C.values @ lap.L_hat - cfg.lam * G
         assert np.max(np.abs(R)) <= 1e-6 * max(1.0, np.abs(G).max())
         assert C.report.converged
@@ -313,10 +312,10 @@ class TestSMR:
 
     def test_local_minimum_sanity(self):
         X = _random_matrix(7, 6, 10)
-        cfg = default_solver_config("smr", lam=1.0, k_graph=3)
+        cfg = default_solver_config("smr", lam=1.0)
         C = solve_smr(X, cfg)
         G = X.values.T @ X.values
-        lap = build_knn_laplacian(X, cfg.k_graph, cfg.epsilon)
+        lap = build_knn_laplacian(X, 4, 0.01)
 
         def objective(M):
             fit = X.values - X.values @ M
@@ -328,6 +327,19 @@ class TestSMR:
             delta = rng.standard_normal(C.values.shape)
             delta *= 1e-3 / np.linalg.norm(delta)
             assert base <= objective(C.values + delta) + 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_fewer_than_five_points(self, n):
+        # the graph takes every other point as a neighbor: k = min(4, n - 1)
+        X = _random_matrix(n, 6, n, normalize=False)
+        cfg = default_solver_config("smr")
+        C = solve_smr(X, cfg)
+        assert np.all(np.isfinite(C.values))
+        G = X.values.T @ X.values
+        lap = build_knn_laplacian(X, n - 1, 0.01)
+        R = cfg.lam * (G @ C.values) + C.values @ lap.L_hat - cfg.lam * G
+        assert np.max(np.abs(R)) <= 1e-6 * max(1.0, np.abs(G).max())
+        assert C.report.converged
 
 
 class TestSSC:
@@ -458,14 +470,10 @@ class TestConfig:
             SolverConfig(lam=-1.0)
         with pytest.raises(ConfigError):
             SolverConfig(lam=1.0, tol=0.0)
-        with pytest.raises(ConfigError):
-            SolverConfig(lam=1.0, epsilon=0.0)
 
     def test_default_configs_per_solver(self):
         assert default_solver_config("ssc").tol == 2e-4
         assert default_solver_config("ssc").max_iter == 200
         assert default_solver_config("lrrsc").max_iter == 1000
-        assert default_solver_config("smr").k_graph == 4
-        assert default_solver_config("smr").epsilon == 0.01
         with pytest.raises(ConfigError):
             default_solver_config("pca")
