@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataMatrix
-from .errors import ConfigError, DataError, NumericalError, require_integer
+from .errors import ConfigError, DataError, NumericalError, require
 from .solvers import CoefficientMatrix
 
 AFFINITIES = ("sm", "ssm", "svdm", "ipm")
@@ -28,11 +28,8 @@ class AffinityConfig:
     alpha: float = 1.0  # svdm/ipm exponent
 
     def __post_init__(self):
-        require_integer("k_top", self.k_top)
-        if self.k_top < 1:
-            raise ConfigError("k_top must be >= 1")
-        if self.alpha <= 0:
-            raise ConfigError("alpha must be positive")
+        require("k_top", self.k_top, int, at_least=1)
+        require("alpha", self.alpha, float, above=0)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, require
 
 BINARY_MAGIC = b"SSCB"
 BINARY_VERSION = 0x01
@@ -94,18 +94,13 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.num_subspaces < 1 or self.subspace_dim < 1:
-            raise ConfigError("num_subspaces and subspace_dim must be >= 1")
-        if self.points_per_subspace < self.subspace_dim:
-            raise ConfigError("points_per_subspace must be >= subspace_dim")
-        if self.noise_sigma < 0:
-            raise ConfigError("noise_sigma must be nonnegative")
-        if self.seed < 0:
-            raise ConfigError("seed must be a nonnegative integer")
-        if self.ambient_dim < self.num_subspaces * self.subspace_dim:
-            raise ConfigError(
-                "independent subspaces need ambient_dim >= num_subspaces * subspace_dim"
-            )
+        require("num_subspaces", self.num_subspaces, int, at_least=1)
+        require("subspace_dim", self.subspace_dim, int, at_least=1)
+        require("points_per_subspace", self.points_per_subspace, int, at_least=self.subspace_dim)
+        spanned = self.num_subspaces * self.subspace_dim  # what independent subspaces need
+        require("ambient_dim", self.ambient_dim, int, at_least=spanned)
+        require("noise_sigma", self.noise_sigma, float, at_least=0)
+        require("seed", self.seed, int, at_least=0)
 
 
 def remap_labels(raw: np.ndarray) -> LabelVector:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from importlib import resources
 
 import numpy as np
@@ -25,7 +25,7 @@ from .data import (
     load_dataset,
     prepare_dataset,
 )
-from .errors import ConfigError, SubclustError, require_integer
+from .errors import ConfigError, SubclustError, require
 from .solvers import SOLVERS, SolverConfig, default_solver_config, solve
 from .spectral import clustering_accuracy, kmeans, spectral_embed
 
@@ -41,13 +41,9 @@ def trial_seed(master_seed: int, trial_index: int) -> int:
 
 def _check_run_parameters(n_clusters, trials, master_seed) -> None:
     """Type and range checks of the run parameters that need no data."""
-    require_integer("n_clusters", n_clusters)
-    require_integer("trials", trials)
-    require_integer("master_seed", master_seed)
-    if trials < 1:
-        raise ConfigError("trials must be >= 1")
-    if master_seed < 0:
-        raise ConfigError("master_seed must be >= 0")
+    require("n_clusters", n_clusters, int, at_least=2)
+    require("trials", trials, int, at_least=1)
+    require("master_seed", master_seed, int, at_least=0)
 
 
 def _check_n_clusters(k: int, n: int) -> None:
@@ -86,9 +82,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown affinity {self.affinity!r}")
         _check_run_parameters(self.n_clusters, self.trials, self.master_seed)
         if self.pca_dim is not None:
-            require_integer("pca_dim", self.pca_dim)
-        if self.n_clusters < 2:
-            raise ConfigError("n_clusters must be >= 2")
+            require("pca_dim", self.pca_dim, int, at_least=1)
+        require("normalize", self.normalize, bool)
 
 
 @dataclass(frozen=True)
@@ -348,45 +343,44 @@ def _reject_unknown(obj: dict, allowed, context: str) -> None:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {context}")
 
 
+def _require_keys(obj: dict, cls, context: str) -> None:
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in obj]
+    if missing:
+        raise ConfigError(f"required key(s) {missing} missing in {context}")
+
+
 def _parse_dataset(obj: dict) -> DatasetFiles | SyntheticSpec:
     _reject_unknown(obj, ("synthetic", "matrix_path", "labels_path", "format"), "dataset")
     if "synthetic" in obj:
         _reject_unknown(obj, ("synthetic",), "dataset")
         spec = obj["synthetic"]
         _reject_unknown(spec, _SYNTHETIC_KEYS, "dataset.synthetic")
+        _require_keys(spec, SyntheticSpec, "dataset.synthetic")
         return SyntheticSpec(**spec)
-    for required in ("matrix_path", "labels_path"):
-        if required not in obj:
-            raise ConfigError(f"dataset.{required} is required")
+    _require_keys(obj, DatasetFiles, "dataset")
     return DatasetFiles(**obj)
 
 
 def parse_experiment_config(obj: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from a JSON-style dict.
 
-    Unknown keys, a section that is not an object and a value of the wrong
-    type (such as "trials": "2") raise ConfigError.
+    Unknown or missing keys, a section that is not an object and a setting of
+    the wrong type or out of range (such as "lambda": true) raise ConfigError.
     """
     _reject_unknown(obj, _TOP_LEVEL_KEYS, "experiment config")
-    for required in ("dataset", "solver", "affinity", "n_clusters"):
-        if required not in obj:
-            raise ConfigError(f"experiment config key {required!r} is required")
+    _require_keys(obj, ExperimentConfig, "experiment config")
     kwargs = {key: obj[key] for key in _TOP_LEVEL_KEYS if key in obj}
-    try:
-        if "solver_config" in obj:
-            raw = obj["solver_config"]
-            _reject_unknown(raw, _SOLVER_CONFIG_KEYS, "solver_config")
-            kwargs["solver_config"] = default_solver_config(
-                obj["solver"], **{_SOLVER_CONFIG_KEYS[key]: value for key, value in raw.items()}
-            )
-        if "affinity_config" in obj:
-            raw = obj["affinity_config"]
-            _reject_unknown(raw, _AFFINITY_CONFIG_KEYS, "affinity_config")
-            kwargs["affinity_config"] = AffinityConfig(**raw)
-        kwargs["dataset"] = _parse_dataset(obj["dataset"])
-        return ExperimentConfig(**kwargs)
-    except TypeError as exc:  # a JSON value of the wrong type met a comparison
-        raise ConfigError(f"experiment config has a value of the wrong type: {exc}") from exc
+    if "solver_config" in obj:
+        raw = obj["solver_config"]
+        _reject_unknown(raw, _SOLVER_CONFIG_KEYS, "solver_config")
+        kwargs["solver_config"] = default_solver_config(
+            obj["solver"], **{_SOLVER_CONFIG_KEYS[key]: value for key, value in raw.items()}
+        )
+    if "affinity_config" in obj:
+        _reject_unknown(obj["affinity_config"], _AFFINITY_CONFIG_KEYS, "affinity_config")
+        kwargs["affinity_config"] = AffinityConfig(**obj["affinity_config"])
+    kwargs["dataset"] = _parse_dataset(obj["dataset"])
+    return ExperimentConfig(**kwargs)
 
 
 def load_experiment_config(path) -> ExperimentConfig:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataMatrix
-from .errors import ConfigError, DataError, NumericalError, require_integer
+from .errors import ConfigError, DataError, NumericalError, require
 
 
 @dataclass(frozen=True)
@@ -34,13 +34,9 @@ class SolverConfig:
     max_iter: int = 200  # lrrsc/ssc only
 
     def __post_init__(self):
-        require_integer("max_iter", self.max_iter)
-        if self.lam <= 0:
-            raise ConfigError("lam must be positive")
-        if self.tol <= 0:
-            raise ConfigError("tol must be positive")
-        if self.max_iter < 1:
-            raise ConfigError("max_iter must be >= 1")
+        require("lam", self.lam, float, above=0)
+        require("tol", self.tol, float, above=0)
+        require("max_iter", self.max_iter, int, at_least=1)
 
 
 @dataclass(frozen=True)
@@ -155,8 +151,7 @@ def build_knn_laplacian(X: DataMatrix, k_graph: int, epsilon: float) -> GraphLap
     n = X.n
     if not 1 <= k_graph < n:
         raise ConfigError(f"k_graph must be in 1..{n - 1}, got {k_graph}")
-    if epsilon <= 0:
-        raise ConfigError("epsilon must be positive")
+    require("epsilon", epsilon, float, above=0)
     pts = X.values
     W = np.zeros((n, n))
     for i in range(n):

@@ -193,3 +193,7 @@ class TestAffinityMatrixValidation:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             AffinityConfig(alpha=0.0)
+
+    def test_huge_integer_k_top_constructs(self):
+        # integers are never passed to math.isfinite, which raises OverflowError on 10**400
+        assert AffinityConfig(k_top=10**400).k_top == 10**400

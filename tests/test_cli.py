@@ -56,6 +56,17 @@ class TestSynth:
         assert code == 1
         assert "config error" in capsys.readouterr().err
 
+    def test_nan_noise_exits_one_and_writes_nothing(self, tmp_path, capsys):
+        code = main(
+            [
+                "synth", "--subspaces", "3", "--dim", "3", "--ambient", "24",
+                "--points", "12", "--noise", "nan", "--out", str(tmp_path / "x"),
+            ]
+        )
+        assert code == 1
+        assert "noise_sigma has the wrong type" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestRun:
     def _config(self, tmp_path, **extra):
@@ -167,13 +178,29 @@ class TestRun:
         assert captured.out == ""
         assert captured.err.startswith("subclust: config error:")
 
-    @pytest.mark.parametrize("section, key", [("solver_config", "max_iter"), ("affinity_config", "k_top")])
-    @pytest.mark.parametrize("value", [2.5, True])
+    @pytest.mark.parametrize(
+        "value, section, key",
+        [
+            (value, section, key)
+            for value in (2.5, True)
+            for section, key in (("affinity_config", "k_top"), ("solver_config", "max_iter"))
+        ]
+        + [  # float settings: a JSON true, NaN or Infinity is no finite number
+            (value, section, key)
+            for value in (True, float("nan"), float("inf"))
+            for section, key in (
+                ("solver_config", "lambda"),
+                ("solver_config", "tol"),
+                ("affinity_config", "alpha"),
+            )
+        ],
+    )
     def test_non_integer_setting_exits_one_before_solving(
         self, tmp_path, capsys, monkeypatch, section, key, value
     ):
         path = self._config(tmp_path, **{section: {key: value}})
-        with pytest.raises(ConfigError, match=f"{key} has the wrong type"):
+        field = "lam" if key == "lambda" else key
+        with pytest.raises(ConfigError, match=f"{field} has the wrong type"):
             parse_experiment_config(json.loads(path.read_text()))
 
         def no_solve(solver, X, cfg):

@@ -419,6 +419,15 @@ class TestConfigParsing:
             lambda d: d.update({"master_seed": 1.5}),
             lambda d: d.update({"trials": True}),
             lambda d: d.update({"n_clusters": False}),
+            # a JSON true is no number, and json.load parses NaN and Infinity
+            lambda d: d["solver_config"].update({"lambda": True}),
+            lambda d: d["affinity_config"].update({"alpha": True}),
+            lambda d: d["solver_config"].update({"lambda": float("nan")}),
+            lambda d: d["solver_config"].update({"tol": float("inf")}),
+            lambda d: d["dataset"]["synthetic"].update({"num_subspaces": 2.5}),
+            lambda d: d["dataset"]["synthetic"].update({"seed": True}),
+            lambda d: d["dataset"]["synthetic"].update({"noise_sigma": float("nan")}),
+            lambda d: d.update({"normalize": "no"}),
         ],
     )
     def test_malformed_values_rejected(self, mutate):
@@ -430,6 +439,10 @@ class TestConfigParsing:
     def test_missing_required(self):
         with pytest.raises(ConfigError, match="required"):
             parse_experiment_config({"solver": "lsr", "affinity": "sm", "n_clusters": 2})
+        blob = json.loads(json.dumps(self.FULL))
+        del blob["dataset"]["synthetic"]["ambient_dim"]
+        with pytest.raises(ConfigError, match=r"required key\(s\) \['ambient_dim'\]"):
+            parse_experiment_config(blob)
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "cfg.json"

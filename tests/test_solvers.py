@@ -464,12 +464,27 @@ class TestOffblockMass:
             assert _offblock_ratio(C.values, labels) <= 0.35, name
 
 
+class TestDeterminism:
+    """Same (X, config) gives the same C and report, bit for bit, in one process
+    at one BLAS thread count (1 and 2 threads can round smr differently)."""
+
+    @pytest.mark.parametrize("name", solvers.SOLVERS)
+    def test_repeated_solve_is_bitwise_equal(self, name):
+        spec = SyntheticSpec(3, 3, 20, 15, noise_sigma=0.05, seed=2)
+        X = prepare_dataset(generate_synthetic(spec), normalize=True).matrix
+        first, second = (solvers.solve(name, X, default_solver_config(name)) for _ in range(2))
+        assert first.values.tobytes() == second.values.tobytes()
+        assert first.report == second.report
+
+
 class TestConfig:
     def test_positive_parameters_enforced(self):
         with pytest.raises(ConfigError):
             SolverConfig(lam=-1.0)
         with pytest.raises(ConfigError):
             SolverConfig(lam=1.0, tol=0.0)
+        with pytest.raises(ConfigError, match="lam has the wrong type"):
+            SolverConfig(lam=10**400)  # an exact integer, but beyond the float range
 
     def test_default_configs_per_solver(self):
         assert default_solver_config("ssc").tol == 2e-4
