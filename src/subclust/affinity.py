@@ -14,10 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataMatrix
-from .errors import ConfigError, DataError, NumericalError, require
+from .errors import ConfigError, DataError, NumericalError, require, require_one_of
 from .solvers import CoefficientMatrix
-
-AFFINITIES = ("sm", "ssm", "svdm", "ipm")
 
 
 @dataclass(frozen=True)
@@ -69,9 +67,7 @@ def top_k_per_column(C: np.ndarray, k: int) -> np.ndarray:
     Ties at the k-th magnitude keep the smaller row index, so the result is
     deterministic.
     """
-    n = C.shape[0]
-    if not 1 <= k <= n:
-        raise ConfigError(f"k_top must be in 1..{n}, got {k}")
+    require("k_top", k, int, at_least=1, at_most=C.shape[0])
     out = np.zeros_like(C)
     order = np.argsort(-np.abs(C), axis=0, kind="stable")
     rows = order[:k, :]
@@ -148,17 +144,19 @@ def build_ipm(C, X: DataMatrix | None, cfg: AffinityConfig) -> AffinityMatrix:
     return AffinityMatrix(values=W)
 
 
+# name -> builder called as (C, X, cfg); the adapters drop what a builder does not read
+_AFFINITIES = {
+    "sm": lambda C, X, cfg: build_sm(C),
+    "ssm": lambda C, X, cfg: build_ssm(C, cfg),
+    "svdm": lambda C, X, cfg: build_svdm(C, cfg),
+    "ipm": build_ipm,
+}
+AFFINITIES = tuple(_AFFINITIES)
+
+
 def build_affinity(
     method: str, C, X: DataMatrix | None = None, cfg: AffinityConfig | None = None
 ) -> AffinityMatrix:
     """Dispatch to one of the four affinity builders by name."""
-    cfg = cfg or AffinityConfig()
-    if method == "sm":
-        return build_sm(C)
-    if method == "ssm":
-        return build_ssm(C, cfg)
-    if method == "svdm":
-        return build_svdm(C, cfg)
-    if method == "ipm":
-        return build_ipm(C, X, cfg)
-    raise ConfigError(f"unknown affinity method {method!r}, expected one of {AFFINITIES}")
+    builder = _AFFINITIES[require_one_of("affinity", method, AFFINITIES)]
+    return builder(C, X, cfg or AffinityConfig())

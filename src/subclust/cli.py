@@ -19,6 +19,7 @@ import numpy as np
 # cli.solve, cli.build_affinity and cli.cluster are unused; perfbench/tracing.py hooks them
 from .affinity import build_affinity  # noqa: F401
 from .data import (
+    FORMATS,
     SyntheticSpec,
     generate_synthetic,
     load_dataset,
@@ -63,7 +64,7 @@ def _build_parser() -> _Parser:
     synth.add_argument("--noise", type=float, default=0.0, help="Gaussian noise sigma")
     synth.add_argument("--seed", type=int, default=0)
     synth.add_argument("--out", required=True, help="output prefix: writes <out>.csv|.bin and <out>.labels")
-    synth.add_argument("--format", choices=("csv", "binary"), default="csv")
+    synth.add_argument("--format", choices=FORMATS, default="csv")
 
     run = sub.add_parser("run", help="run one experiment from a JSON config")
     run.add_argument("--config", required=True, help="experiment config JSON file")
@@ -75,7 +76,7 @@ def _build_parser() -> _Parser:
     grid = sub.add_parser("grid", help="run the 4x4 solver x affinity grid")
     grid.add_argument("--dataset", required=True, help="matrix file (one sample per row for csv)")
     grid.add_argument("--labels", required=True, help="labels file, one integer per line")
-    grid.add_argument("--format", choices=("csv", "binary"), default="csv")
+    grid.add_argument("--format", choices=FORMATS, default="csv")
     grid.add_argument("--pca", type=int, default=None, help="PCA dimension before clustering")
     grid.add_argument("--no-normalize", action="store_true", help="skip column normalization")
     grid.add_argument("--preset", choices=PresetTable.builtin().datasets(), help="parameter presets")

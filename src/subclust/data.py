@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ConfigError, DataError, require
+from .errors import DataError, require, require_one_of
 
 BINARY_MAGIC = b"SSCB"
 BINARY_VERSION = 0x01
@@ -162,9 +162,7 @@ def load_dataset(matrix_path, labels_path, format: str = "csv", name: str | None
     Labels are remapped to contiguous 0..k-1. CSV matrices are transposed so
     that samples end up as columns.
     """
-    if format not in FORMATS:
-        raise ConfigError(f"unknown format {format!r}, expected one of {FORMATS}")
-    if format == "csv":
+    if require_one_of("format", format, FORMATS) == "csv":
         values = _load_matrix_csv(matrix_path)
     else:
         values = load_matrix_binary(matrix_path)
@@ -188,9 +186,7 @@ def save_labels(labels, path) -> None:
 
 def save_dataset(ds: Dataset, matrix_path, labels_path, format: str = "csv") -> None:
     """Write a dataset; load_dataset inverts this (bit-exactly for binary)."""
-    if format not in FORMATS:
-        raise ConfigError(f"unknown format {format!r}, expected one of {FORMATS}")
-    if format == "csv":
+    if require_one_of("format", format, FORMATS) == "csv":
         # %.17g round-trips IEEE doubles exactly
         np.savetxt(matrix_path, ds.matrix.values.T, delimiter=",", fmt="%.17g")
     else:
@@ -216,9 +212,7 @@ def pca_project(X: DataMatrix, target_dim: int) -> DataMatrix:
     Returns a target_dim x n matrix whose rows are ordered by decreasing
     variance.
     """
-    d, n = X.d, X.n
-    if not 1 <= target_dim <= min(d, n):
-        raise ConfigError(f"target_dim must be in 1..{min(d, n)}, got {target_dim}")
+    require("target_dim", target_dim, int, at_least=1, at_most=min(X.d, X.n))
     centered = X.values - X.values.mean(axis=1, keepdims=True)
     U, s, Vt = np.linalg.svd(centered, full_matrices=False)
     U = canonical_signs(U[:, :target_dim])

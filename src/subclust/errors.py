@@ -1,7 +1,9 @@
-"""Exception hierarchy shared across the toolkit, plus the one check of settings.
+"""Exception hierarchy shared across the toolkit, plus the two checks of settings.
 
 The CLI maps these onto exit codes: ConfigError -> 1, DataError -> 2,
-NumericalError (and LinAlgError) -> 3.
+NumericalError (and LinAlgError) -> 3. `require` checks a setting's type and
+range, bounds that depend on the data included; `require_one_of` checks a
+name against the names it may take. Both raise ConfigError.
 """
 
 import math
@@ -25,24 +27,34 @@ class NumericalError(SubclustError):
     """A numerical routine failed (eigendecomposition, SVD, linear solve)."""
 
 
-_EXPECTED = {bool: "a boolean", int: "an integer", float: "a finite number"}
+_EXPECTED = {bool: "a boolean", str: "a string", int: "an integer", float: "a finite number"}
 
 
-def require(name: str, value, kind: type, *, at_least=None, above=None) -> None:
-    """Raise ConfigError unless value is of kind (bool, int or float) and in range.
+def require(name: str, value, kind: type, *, at_least=None, above=None, at_most=None) -> None:
+    """Raise ConfigError unless value is of kind (bool, str, int or float) and in range.
 
     A bool is no number (JSON true is not 1), an int is also a float, and a
-    float must be finite (json.load parses NaN and Infinity).
+    float must be finite (json.load parses NaN and Infinity). An upper bound
+    at_most, which is set by the data, is given together with at_least.
     """
-    if kind is bool or isinstance(value, bool):
-        ok = kind is bool and isinstance(value, bool)
+    if kind in (bool, str) or isinstance(value, bool):
+        ok = kind in (bool, str) and isinstance(value, kind)
     elif isinstance(value, numbers.Integral):  # math.isfinite(10**400) raises OverflowError
         ok = kind is int or abs(value) <= sys.float_info.max
     else:
         ok = kind is float and isinstance(value, numbers.Real) and math.isfinite(value)
     if not ok:
         raise ConfigError(f"{name} has the wrong type: expected {_EXPECTED[kind]}, got {value!r}")
+    if at_most is not None and not at_least <= value <= at_most:
+        raise ConfigError(f"{name} must be in {at_least}..{at_most}, got {value!r}")
     if at_least is not None and value < at_least:
         raise ConfigError(f"{name} must be >= {at_least}, got {value!r}")
     if above is not None and value <= above:
         raise ConfigError(f"{name} must be > {above}, got {value!r}")
+
+
+def require_one_of(name: str, value, choices):
+    """Return value if it is a str in choices (a tuple or a dict), else raise ConfigError."""
+    if not isinstance(value, str) or value not in choices:  # a list is unhashable as a dict key
+        raise ConfigError(f"unknown {name} {value!r}, expected one of {tuple(choices)}")
+    return value

@@ -18,6 +18,7 @@ import numpy as np
 
 from .affinity import AFFINITIES, AffinityConfig, build_affinity
 from .data import (
+    FORMATS,
     Dataset,
     LabelVector,
     SyntheticSpec,
@@ -25,7 +26,7 @@ from .data import (
     load_dataset,
     prepare_dataset,
 )
-from .errors import ConfigError, SubclustError, require
+from .errors import ConfigError, SubclustError, require, require_one_of
 from .solvers import SOLVERS, SolverConfig, default_solver_config, solve
 from .spectral import clustering_accuracy, kmeans, spectral_embed
 
@@ -46,11 +47,6 @@ def _check_run_parameters(n_clusters, trials, master_seed) -> None:
     require("master_seed", master_seed, int, at_least=0)
 
 
-def _check_n_clusters(k: int, n: int) -> None:
-    if not 2 <= k <= n:
-        raise ConfigError(f"n_clusters must be in 2..{n}, got {k}")
-
-
 @dataclass(frozen=True)
 class DatasetFiles:
     """A matrix file plus a labels file on disk."""
@@ -58,6 +54,11 @@ class DatasetFiles:
     matrix_path: str
     labels_path: str
     format: str = "csv"
+
+    def __post_init__(self):
+        require("matrix_path", self.matrix_path, str)
+        require("labels_path", self.labels_path, str)
+        require_one_of("format", self.format, FORMATS)
 
 
 @dataclass(frozen=True)
@@ -76,10 +77,8 @@ class ExperimentConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.solver not in SOLVERS:
-            raise ConfigError(f"unknown solver {self.solver!r}")
-        if self.affinity not in AFFINITIES:
-            raise ConfigError(f"unknown affinity {self.affinity!r}")
+        require_one_of("solver", self.solver, SOLVERS)
+        require_one_of("affinity", self.affinity, AFFINITIES)
         _check_run_parameters(self.n_clusters, self.trials, self.master_seed)
         if self.pca_dim is not None:
             require("pca_dim", self.pca_dim, int, at_least=1)
@@ -159,24 +158,17 @@ class PresetTable:
         return tuple(self.table)
 
     def _block(self, dataset: str) -> dict:
-        if dataset not in self.table:
-            raise ConfigError(
-                f"unknown preset dataset {dataset!r}, expected one of {tuple(self.table)}"
-            )
-        return self.table[dataset]
+        return self.table[require_one_of("preset dataset", dataset, self.table)]
 
     def pipeline(self, dataset: str) -> dict:
         return dict(self._block(dataset)["pipeline"])
 
     def _entry(self, dataset: str, solver: str) -> dict:
-        if solver not in SOLVER_COLUMNS:
-            raise ConfigError(f"unknown solver {solver!r}")
-        return self._block(dataset)["solvers"][solver]
+        return self._block(dataset)["solvers"][require_one_of("solver", solver, SOLVER_COLUMNS)]
 
     def cell(self, dataset: str, solver: str, affinity: str) -> dict:
         """Parameters of one grid cell: lambda plus k_top or alpha when used."""
-        if affinity not in AFFINITY_ROWS:
-            raise ConfigError(f"unknown affinity {affinity!r}")
+        require_one_of("affinity", affinity, AFFINITY_ROWS)
         raw = self._entry(dataset, solver)
         return {"lambda": raw["lambda"], **raw.get(affinity, {})}
 
@@ -218,7 +210,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     """
     t0 = time.perf_counter()
     ds = prepare_dataset(materialize_dataset(cfg.dataset), cfg.pca_dim, cfg.normalize)
-    _check_n_clusters(cfg.n_clusters, ds.matrix.n)
+    require("n_clusters", cfg.n_clusters, int, at_least=2, at_most=ds.matrix.n)
     C = solve(cfg.solver, ds.matrix, cfg.solver_config or default_solver_config(cfg.solver))
     seeds = [trial_seed(cfg.master_seed, i) for i in range(cfg.trials)]
     W, labels, result = _score_cell(
@@ -262,7 +254,7 @@ def run_grid(
         raise ConfigError("preset_name is required when a PresetTable is supplied")
     k = n_clusters if n_clusters is not None else dataset.truth.k
     _check_run_parameters(k, trials, master_seed)
-    _check_n_clusters(k, dataset.matrix.n)
+    require("n_clusters", k, int, at_least=2, at_most=dataset.matrix.n)
     seeds = [trial_seed(master_seed, i) for i in range(trials)]
     cells = {}
     errors = {}
@@ -303,27 +295,23 @@ def _cell_text(grid: GridResult, solver: str, affinity: str, indicator: str) -> 
 
 def emit_table(grid: GridResult, format: str = "console") -> str:
     """Render the grid grouped by affinity then indicator, columns LSR SMR LRRSC SSC."""
-    if format == "csv":
+    if require_one_of("table format", format, ("console", "csv")) == "csv":
         lines = ["method,indicator," + ",".join(s.upper() for s in SOLVER_COLUMNS)]
         for affinity in AFFINITY_ROWS:
             for indicator in INDICATORS:
                 values = [_cell_text(grid, s, affinity, indicator) for s in SOLVER_COLUMNS]
                 lines.append(f"{affinity.upper()},{indicator}," + ",".join(values))
         return "\n".join(lines) + "\n"
-    if format == "console":
-        header = f"{'Method':<8}{'indicator':<11}" + "".join(
-            f"{s.upper():>9}" for s in SOLVER_COLUMNS
-        )
-        lines = [header]
-        for affinity in AFFINITY_ROWS:
-            for row, indicator in enumerate(INDICATORS):
-                label = affinity.upper() if row == 0 else ""
-                values = "".join(
-                    f"{_cell_text(grid, s, affinity, indicator):>9}" for s in SOLVER_COLUMNS
-                )
-                lines.append(f"{label:<8}{indicator:<11}" + values)
-        return "\n".join(lines) + "\n"
-    raise ConfigError(f"unknown table format {format!r}, expected 'console' or 'csv'")
+    header = f"{'Method':<8}{'indicator':<11}" + "".join(f"{s.upper():>9}" for s in SOLVER_COLUMNS)
+    lines = [header]
+    for affinity in AFFINITY_ROWS:
+        for row, indicator in enumerate(INDICATORS):
+            label = affinity.upper() if row == 0 else ""
+            values = "".join(
+                f"{_cell_text(grid, s, affinity, indicator):>9}" for s in SOLVER_COLUMNS
+            )
+            lines.append(f"{label:<8}{indicator:<11}" + values)
+    return "\n".join(lines) + "\n"
 
 
 # config-file key -> SolverConfig field; the one rename is "lambda" -> lam
@@ -384,10 +372,15 @@ def parse_experiment_config(obj: dict) -> ExperimentConfig:
 
 
 def load_experiment_config(path) -> ExperimentConfig:
-    """Parse an experiment config JSON file."""
+    """Parse an experiment config JSON file.
+
+    A file json.load cannot read raises ConfigError: bad syntax or encoding,
+    an integer of more digits than Python converts, nesting deeper than the
+    recursion limit.
+    """
     with open(path) as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError
             raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     return parse_experiment_config(obj)

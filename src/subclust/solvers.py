@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataMatrix
-from .errors import ConfigError, DataError, NumericalError, require
+from .errors import ConfigError, DataError, NumericalError, require, require_one_of
 
 
 @dataclass(frozen=True)
@@ -71,8 +71,7 @@ class CoefficientMatrix:
             raise DataError(f"coefficient matrix must be square, got {v.shape}")
         if not np.all(np.isfinite(v)):
             raise DataError("coefficient matrix contains non-finite entries")
-        if self.solver not in SOLVERS:
-            raise ConfigError(f"unknown solver tag {self.solver!r}")
+        require_one_of("solver", self.solver, SOLVERS)
         if self.solver == "ssc" and np.any(np.diag(v) != 0.0):
             raise DataError("ssc coefficient matrix must have an exactly zero diagonal")
         if self.solver == "lrrsc" and np.max(np.abs(v - v.T)) > 1e-10:
@@ -98,8 +97,9 @@ class GraphLaplacian:
 
 def soft_threshold(v, tau: float):
     """Entrywise shrinkage sign(v) * max(|v| - tau, 0), with +0.0 where v is +-0."""
+    # not require(), which rejects inf: ssc's tau = 1/lam is inf for a subnormal lam
     if tau < 0:
-        raise ConfigError("tau must be nonnegative")
+        raise ConfigError(f"tau must be >= 0, got {tau!r}")
     v = np.asarray(v, dtype=np.float64)
     out = np.abs(v, out=np.empty_like(v))
     out -= tau
@@ -117,7 +117,7 @@ def singular_value_threshold(M: np.ndarray, tau: float) -> np.ndarray:
     whose SVD path returns exact zeros too.
     """
     if tau < 0:
-        raise ConfigError("tau must be nonnegative")
+        raise ConfigError(f"tau must be >= 0, got {tau!r}")
     M = np.asarray(M, dtype=np.float64)
     if np.linalg.norm(M) <= tau * (1.0 - 1e-12):
         return np.zeros_like(M)
@@ -149,8 +149,7 @@ def build_knn_laplacian(X: DataMatrix, k_graph: int, epsilon: float) -> GraphLap
     included, so coincident points are treated symmetrically.
     """
     n = X.n
-    if not 1 <= k_graph < n:
-        raise ConfigError(f"k_graph must be in 1..{n - 1}, got {k_graph}")
+    require("k_graph", k_graph, int, at_least=1, at_most=n - 1)
     require("epsilon", epsilon, float, above=0)
     pts = X.values
     W = np.zeros((n, n))
@@ -385,9 +384,7 @@ SOLVERS = tuple(_SOLVERS)
 
 
 def _lookup(solver: str):
-    if solver not in SOLVERS:
-        raise ConfigError(f"unknown solver {solver!r}, expected one of {SOLVERS}")
-    return _SOLVERS[solver]
+    return _SOLVERS[require_one_of("solver", solver, SOLVERS)]
 
 
 def default_solver_config(solver: str, **overrides) -> SolverConfig:

@@ -15,7 +15,7 @@ from scipy.optimize import linear_sum_assignment
 
 from .affinity import AffinityMatrix
 from .data import LabelVector, canonical_signs
-from .errors import ConfigError, DataError, NumericalError
+from .errors import ConfigError, DataError, NumericalError, require
 
 
 def _affinity_values(W) -> np.ndarray:
@@ -32,8 +32,7 @@ def spectral_embed(W, n_clusters: int) -> np.ndarray:
     """
     values = _affinity_values(W)
     n = values.shape[0]
-    if not 2 <= n_clusters <= n:
-        raise ConfigError(f"n_clusters must be in 2..{n}, got {n_clusters}")
+    require("n_clusters", n_clusters, int, at_least=2, at_most=n)
     degrees = values.sum(axis=1)
     isolated = degrees == 0.0
     if np.any(isolated):
@@ -116,8 +115,7 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise ConfigError("points must be a 2-D array")
-    if not 1 <= k <= points.shape[0]:
-        raise ConfigError(f"k must be in 1..{points.shape[0]}, got {k}")
+    require("k", k, int, at_least=1, at_most=points.shape[0])
     rng = np.random.default_rng(seed)
     best_labels, best_inertia = None, np.inf
     for _ in range(10):

@@ -76,7 +76,7 @@ def _prepared_benchmark(name):
     if ds is None:
         pytest.skip(f"benchmark data for {name!r} not available (set SUBCLUST_DATA_DIR)")
     pipeline = PresetTable.builtin().pipeline(name)
-    return prepare_dataset(ds, pipeline["pca_dim"], pipeline["normalize"]), pipeline
+    return prepare_dataset(ds, pipeline["pca_dim"], True), pipeline
 
 
 def test_criterion_1_oracle_suite():

@@ -13,7 +13,7 @@ from subclust import (
     build_svdm,
     normalize_columns,
 )
-from subclust.affinity import top_k_per_column
+from subclust.affinity import _AFFINITIES, AFFINITIES, top_k_per_column
 from subclust.data import DataMatrix
 from subclust.errors import ConfigError, DataError
 
@@ -177,6 +177,20 @@ class TestSharedProperties:
     def test_unknown_method(self):
         with pytest.raises(ConfigError):
             build_affinity("heat", _random_coeff(22), None, AffinityConfig())
+
+    def test_names_come_from_the_builder_table(self):
+        assert AFFINITIES == tuple(_AFFINITIES) == ("sm", "ssm", "svdm", "ipm")
+        C = _random_coeff(23, n=6)
+        X = normalize_columns(DataMatrix(np.random.default_rng(24).standard_normal((4, 6))))
+        cfg = AffinityConfig(k_top=2, alpha=1.5)
+        direct = {
+            "sm": build_sm(C),
+            "ssm": build_ssm(C, cfg),
+            "svdm": build_svdm(C, cfg),
+            "ipm": build_ipm(C, X, cfg),
+        }
+        for method, W in direct.items():
+            assert np.array_equal(build_affinity(method, C, X, cfg).values, W.values), method
 
 
 class TestAffinityMatrixValidation:

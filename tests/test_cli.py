@@ -1,6 +1,7 @@
 """End-to-end CLI tests driven through main() with explicit argv."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,12 @@ from subclust.affinity import build_affinity
 from subclust.cli import main
 from subclust.data import load_dataset, load_matrix_binary, prepare_dataset
 from subclust.errors import ConfigError, NumericalError
-from subclust.harness import AFFINITY_ROWS, parse_experiment_config, trial_seed
+from subclust.harness import (
+    AFFINITY_ROWS,
+    load_experiment_config,
+    parse_experiment_config,
+    trial_seed,
+)
 from subclust.solvers import default_solver_config, solve
 from subclust.spectral import cluster
 
@@ -226,6 +232,53 @@ class TestRun:
         path = self._config(tmp_path, dataset=missing, **{section: {key: value}})
         assert main(["run", "--config", str(path)]) == 1
         assert f"unknown key(s) ['{key}']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "files, message",
+        [
+            ({"matrix_path": 5}, "matrix_path has the wrong type"),
+            ({"matrix_path": ["1,2", "3,4"]}, "matrix_path has the wrong type"),
+            ({"labels_path": None}, "labels_path has the wrong type"),
+            ({"format": "parquet"}, "unknown format 'parquet', expected one of ('csv', 'binary')"),
+        ],
+        ids=["matrix-path-int", "matrix-path-list", "labels-path-null", "format-parquet"],
+    )
+    def test_bad_dataset_files_exit_one_before_loading(
+        self, tmp_path, capsys, monkeypatch, files, message
+    ):
+        dataset = {"matrix_path": str(tmp_path / "m.csv"), "labels_path": str(tmp_path / "l.txt")}
+        path = self._config(tmp_path, dataset={**dataset, **files})
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_experiment_config(json.loads(path.read_text()))
+
+        def no_load(*args, **kwargs):
+            raise AssertionError("loaded before the dataset files were checked")
+
+        monkeypatch.setattr(harness, "load_dataset", no_load)
+        assert main(["run", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("subclust: config error:")
+        assert message in captured.err
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'{"trials": ' + b"9" * 5000 + b"}",  # beyond Python's 4300-digit int conversion
+            b"\xff\xfe{}",  # not UTF-8
+            b"[" * 100000 + b"]" * 100000,  # deeper than the recursion limit
+        ],
+        ids=["long-integer", "not-utf8", "deep-nesting"],
+    )
+    def test_unreadable_json_exits_one(self, tmp_path, capsys, content):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError, match="invalid JSON"):
+            load_experiment_config(path)
+        assert main(["run", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"subclust: config error: invalid JSON in {path}")
 
     def test_missing_dataset_file_exits_two(self, tmp_path):
         cfg = {

@@ -78,7 +78,7 @@ class TestPresets:
 
     def test_pipeline_presets(self):
         table = PresetTable.builtin()
-        assert table.pipeline("yaleb") == {"pca_dim": 60, "n_clusters": 10, "normalize": True}
+        assert table.pipeline("yaleb") == {"pca_dim": 60, "n_clusters": 10}
         assert table.pipeline("ar")["pca_dim"] == 120
         assert table.pipeline("usps")["pca_dim"] is None
 
@@ -428,6 +428,9 @@ class TestConfigParsing:
             lambda d: d["dataset"]["synthetic"].update({"seed": True}),
             lambda d: d["dataset"]["synthetic"].update({"noise_sigma": float("nan")}),
             lambda d: d.update({"normalize": "no"}),
+            # a path of the wrong type never reaches np.loadtxt, which reads a list as lines
+            lambda d: d.update({"dataset": {"matrix_path": 5, "labels_path": "l.txt"}}),
+            lambda d: d.update({"dataset": {"matrix_path": ["1,2", "3,4"], "labels_path": "l"}}),
         ],
     )
     def test_malformed_values_rejected(self, mutate):

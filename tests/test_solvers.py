@@ -101,6 +101,14 @@ class TestProximal:
         with pytest.raises(ConfigError):
             soft_threshold(1.0, -0.1)
 
+    def test_infinite_tau_shrinks_to_zero(self):
+        # ssc's tau = 1/lam is inf for a subnormal lam; the solve still returns C = 0
+        assert np.array_equal(soft_threshold(np.array([-2.0, 3.0]), np.inf), np.zeros(2))
+        assert not singular_value_threshold(np.eye(3), np.inf).any()
+        X = _random_matrix(4, 4, 8)
+        C = solve_ssc(X, default_solver_config("ssc", lam=1e-320, max_iter=5))
+        assert not C.values.any()
+
     def test_svt_zero_matrix(self):
         assert np.array_equal(singular_value_threshold(np.zeros((3, 4)), 2.0), np.zeros((3, 4)))
 
