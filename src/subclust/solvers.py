@@ -191,10 +191,18 @@ def _gram(X: DataMatrix) -> np.ndarray:
     return (G + G.T) / 2.0
 
 
-def _one_step(C, solver: str, resid, objective: float, tol: float) -> CoefficientMatrix:
-    """C of a closed-form solve: one iteration, converged when resid <= tol."""
-    report = SolverReport(1, float(resid), objective, converged=bool(resid <= tol))
+def _result(C, solver: str, cfg: SolverConfig, report: SolverReport) -> CoefficientMatrix:
+    """Wrap a solver's C. X is finite, so a non-finite C is an overflow inside the
+    solve, such as lam * s**2 or lam / mu_e at a lam near the float maximum."""
+    if not np.all(np.isfinite(C)):
+        raise NumericalError(f"{solver} produced non-finite coefficients at lam={cfg.lam!r}")
     return CoefficientMatrix(values=C, solver=solver, report=report)
+
+
+def _one_step(C, solver: str, resid, objective: float, cfg: SolverConfig) -> CoefficientMatrix:
+    """C of a closed-form solve: one iteration, converged when resid <= tol."""
+    report = SolverReport(1, float(resid), objective, converged=bool(resid <= cfg.tol))
+    return _result(C, solver, cfg, report)
 
 
 def solve_lsr(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
@@ -211,7 +219,7 @@ def solve_lsr(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
 
     fit = X.values - X.values @ C
     objective = float(np.sum(fit * fit) + cfg.lam * np.sum(C * C))
-    return _one_step(C, "lsr", resid, objective, cfg.tol)
+    return _one_step(C, "lsr", resid, objective, cfg)
 
 
 def solve_smr(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
@@ -241,7 +249,7 @@ def solve_smr(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
     resid = np.max(np.abs(R)) / scale
     fit = X.values - X.values @ C
     objective = float(cfg.lam * np.sum(fit * fit) + np.trace(C @ lap.L_hat @ C.T))
-    return _one_step(C, "smr", resid, objective, cfg.tol)
+    return _one_step(C, "smr", resid, objective, cfg)
 
 
 def solve_ssc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
@@ -305,7 +313,7 @@ def solve_ssc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
         error_matrix_norms={"E_l1": float(np.abs(E).sum())},
         objective_history=tuple(history),
     )
-    return CoefficientMatrix(values=C, solver="ssc", report=report)
+    return _result(C, "ssc", cfg, report)
 
 
 def solve_lrrsc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
@@ -370,7 +378,7 @@ def solve_lrrsc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
         converged=converged,
         error_matrix_norms={"E_l21": e_l21},
     )
-    return CoefficientMatrix(values=C, solver="lrrsc", report=report)
+    return _result(C, "lrrsc", cfg, report)
 
 
 # name -> (solve function, default SolverConfig fields)

@@ -69,8 +69,10 @@ def _kmeans_plus_plus(points: np.ndarray, k: int, rng: np.random.Generator) -> n
     for j in range(1, k):
         total = closest.sum()
         if total > 0:
-            probs = closest / total
-            idx = int(rng.choice(n, p=probs))
+            # the draw of rng.choice(n, p=closest / total), minus its validation of p
+            cdf = np.cumsum(closest / total)
+            cdf /= cdf[-1]
+            idx = int(np.searchsorted(cdf, rng.random(), side="right"))
         else:  # all remaining points coincide with a chosen center
             idx = int(rng.integers(n))
         centers[j] = points[idx]
@@ -92,12 +94,15 @@ def _lloyd(points, k, rng):
     centers = _kmeans_plus_plus(points, k, rng)
     labels, dist = _assign(points, centers)
     for _ in range(100):
-        for j in range(k):
-            mask = labels == j
-            if np.any(mask):
-                centers[j] = points[mask].mean(axis=0)
-            else:  # re-seed an empty cluster at the worst-served point
-                centers[j] = points[int(np.argmax(dist))]
+        # np.add.at sums each cluster's rows in index order, as mean(axis=0) does
+        # for two or more columns (one column it sums pairwise)
+        counts = np.bincount(labels, minlength=k)
+        sums = np.zeros_like(centers)
+        np.add.at(sums, labels, points)
+        present = counts > 0
+        centers[present] = sums[present] / counts[present, None]
+        # re-seed the empty clusters at the worst-served point
+        centers[~present] = points[int(np.argmax(dist))]
         new_labels, dist = _assign(points, centers)
         if np.array_equal(new_labels, labels):
             labels = new_labels
@@ -110,11 +115,14 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
     """k-means++ with 10 restarts; returns the labels of the best-inertia run.
 
     Each restart runs at most 100 Lloyd steps. Deterministic for fixed
-    (points, k, seed).
+    (points, k, seed) and BLAS thread count, which can change the rounding of
+    the point-to-center distances.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise ConfigError("points must be a 2-D array")
+    if not np.all(np.isfinite(points)):
+        raise DataError("points contain non-finite entries")
     require("k", k, int, at_least=1, at_most=points.shape[0])
     rng = np.random.default_rng(seed)
     best_labels, best_inertia = None, np.inf

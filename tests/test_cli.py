@@ -395,6 +395,23 @@ class TestExitCodes:
         assert main(["run", "--config", str(path)]) == 3
         assert "numerical failure" in capsys.readouterr().err
 
+    def test_overflowing_lambda_exits_three(self, tmp_path, capsys):
+        cfg = {
+            "dataset": {
+                "synthetic": {
+                    "num_subspaces": 2, "subspace_dim": 2, "ambient_dim": 6,
+                    "points_per_subspace": 5, "noise_sigma": 0.0, "seed": 1,
+                }
+            },
+            "solver": "smr", "affinity": "sm", "n_clusters": 2, "trials": 1,
+            "solver_config": {"lambda": 1e308},
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(["run", "--config", str(path)]) == 3
+        assert "smr produced non-finite coefficients at lam=1e+308" in capsys.readouterr().err
+
     def test_dump_labels(self, tmp_path):
         matrix, labels = _write_synth(tmp_path)
         cfg = {

@@ -485,6 +485,21 @@ class TestDeterminism:
         assert first.report == second.report
 
 
+class TestOverflowingLam:
+    """A finite lam that overflows inside ssc's lambda_e = lam / mu_e or smr's
+    lam * s**2 is a numerical failure naming the solver and lam, not a data error."""
+
+    @pytest.mark.parametrize("name", ["ssc", "smr"])
+    def test_numerical_error_names_solver_and_lam(self, name):
+        X = prepare_dataset(generate_synthetic(SyntheticSpec(2, 2, 6, 5, seed=1))).matrix
+        C = solvers.solve(name, X, default_solver_config(name, lam=1e300))
+        assert np.all(np.isfinite(C.values))
+        message = f"{name} produced non-finite coefficients at lam=1e\\+308"
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match=message):
+                solvers.solve(name, X, default_solver_config(name, lam=1e308))
+
+
 class TestConfig:
     def test_positive_parameters_enforced(self):
         with pytest.raises(ConfigError):

@@ -17,7 +17,7 @@ from subclust import (
 )
 from subclust.affinity import build_sm
 from subclust.errors import ConfigError, DataError
-from subclust.spectral import spectral_embed
+from subclust.spectral import _kmeans_plus_plus, _lloyd, spectral_embed
 
 
 def _block_affinity(sizes, weights, rng=None, noise=0.0):
@@ -124,6 +124,144 @@ class TestKMeans:
         pts = np.zeros((4, 2))
         with pytest.raises(ConfigError):
             kmeans(pts, 5, seed=0)
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_points(self, bad):
+        pts = np.random.default_rng(6).standard_normal((8, 2))
+        pts[3, 1] = bad
+        with pytest.raises(DataError, match="non-finite"):
+            kmeans(pts, 2, seed=0)
+
+
+def _ref_kmeans_plus_plus(points, k, rng):
+    """k-means++ seeding as it was written first: rng.choice draws each center."""
+    n = points.shape[0]
+    centers = np.empty((k, points.shape[1]))
+    centers[0] = points[int(rng.integers(n))]
+    closest = np.sum((points - centers[0]) ** 2, axis=1)
+    for j in range(1, k):
+        total = closest.sum()
+        if total > 0:
+            idx = int(rng.choice(n, p=closest / total))
+        else:
+            idx = int(rng.integers(n))
+        centers[j] = points[idx]
+        closest = np.minimum(closest, np.sum((points - centers[j]) ** 2, axis=1))
+    return centers
+
+
+def _ref_assign(points, centers):
+    d2 = (
+        np.sum(points * points, axis=1)[:, None]
+        - 2.0 * points @ centers.T
+        + np.sum(centers * centers, axis=1)[None, :]
+    )
+    labels = np.argmin(d2, axis=1)
+    return labels, np.maximum(d2[np.arange(points.shape[0]), labels], 0.0)
+
+
+def _ref_lloyd(points, k, rng):
+    """Lloyd's iteration as it was written first: one mean per cluster."""
+    centers = _ref_kmeans_plus_plus(points, k, rng)
+    labels, dist = _ref_assign(points, centers)
+    for _ in range(100):
+        for j in range(k):
+            mask = labels == j
+            if np.any(mask):
+                centers[j] = points[mask].mean(axis=0)
+            else:
+                centers[j] = points[int(np.argmax(dist))]
+        new_labels, dist = _ref_assign(points, centers)
+        if np.array_equal(new_labels, labels):
+            labels = new_labels
+            break
+        labels = new_labels
+    return labels, float(dist.sum())
+
+
+def _ref_kmeans(points, k, seed):
+    rng = np.random.default_rng(seed)
+    best_labels, best_inertia = None, np.inf
+    for _ in range(10):
+        labels, inertia = _ref_lloyd(points, k, rng)
+        if inertia < best_inertia:
+            best_labels, best_inertia = labels, inertia
+    return best_labels
+
+
+def _unit_embedding(n, k, seed):
+    """Unit-norm rows around k directions, shaped like a spectral embedding."""
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((k, k))[rng.integers(0, k, n)] + 0.3 * rng.standard_normal((n, k))
+    return rows / np.linalg.norm(rows, axis=1)[:, None]
+
+
+def _duplicates(seed):
+    """40 points on 3 distinct positions, clustered with k = 5."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((3, 4))[rng.integers(0, 3, 40)], 5
+
+
+_REFERENCE_CASES = [
+    pytest.param(_unit_embedding(260, 20, 0), 20, id="n260-k20"),
+    pytest.param(_unit_embedding(260, 20, 1), 20, id="n260-k20-b"),
+    pytest.param(_unit_embedding(320, 10, 2), 10, id="n320-k10"),
+    pytest.param(_unit_embedding(320, 10, 3), 10, id="n320-k10-b"),
+    # k above the 3 distinct points: once they are all centers, closest sums to
+    # 0 and the draw falls back to integers(n); a repeated center loses every
+    # argmin tie, so its cluster is empty and gets re-seeded
+    pytest.param(*_duplicates(4), id="duplicates"),
+    pytest.param(*_duplicates(5), id="duplicates-b"),
+    pytest.param(np.random.default_rng(6).standard_normal((12, 3)), 12, id="k-equals-n"),
+    pytest.param(np.random.default_rng(7).standard_normal((30, 3)), 1, id="k-one"),
+]
+
+
+class TestAgainstReferenceKMeans:
+    """kmeans against the per-cluster loop and rng.choice draw it replaced:
+    bitwise-equal labels for points of two or more columns, which every
+    spectral embedding has."""
+
+    @pytest.mark.parametrize("points, k", _REFERENCE_CASES)
+    @pytest.mark.parametrize("seed", [0, 17])
+    def test_same_labels(self, points, k, seed):
+        assert kmeans(points, k, seed).tobytes() == _ref_kmeans(points, k, seed).tobytes()
+
+    @pytest.mark.parametrize("points, k", _REFERENCE_CASES)
+    def test_lloyd_same_labels_and_inertia(self, points, k):
+        for seed in range(3):
+            labels, inertia = _lloyd(points, k, np.random.default_rng(seed))
+            ref_labels, ref_inertia = _ref_lloyd(points, k, np.random.default_rng(seed))
+            assert labels.tobytes() == ref_labels.tobytes()
+            assert inertia == ref_inertia
+
+    def test_one_column_inertia_within_rounding(self):
+        # a one-column mean(axis=0) sums pairwise, np.add.at in index order, so
+        # the centers may differ in the last bits
+        points = np.random.default_rng(8).standard_normal((150, 1))
+        labels, inertia = _lloyd(points, 4, np.random.default_rng(0))
+        ref_labels, ref_inertia = _ref_lloyd(points, 4, np.random.default_rng(0))
+        assert np.array_equal(labels, ref_labels)
+        assert inertia == pytest.approx(ref_inertia, rel=1e-13)
+
+
+class TestKMeansPlusPlusDraw:
+    """The seeding draws what rng.choice(n, p=closest / total) draws and leaves
+    the generator in the same state, so later restarts and trials see the same
+    stream."""
+
+    @pytest.mark.parametrize("case", range(40))
+    def test_same_centers_and_generator_state(self, case):
+        rng = np.random.default_rng(case)
+        n = int(rng.integers(2, 120))
+        k = int(rng.integers(1, n + 1))
+        points = rng.standard_normal((n, int(rng.integers(1, 6))))  # distinct rows
+        for seed in range(5):
+            new_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            centers = _kmeans_plus_plus(points, k, new_rng)
+            assert centers.tobytes() == _ref_kmeans_plus_plus(points, k, ref_rng).tobytes()
+            assert new_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestCluster:
