@@ -111,9 +111,7 @@ def build_svdm(C, cfg: AffinityConfig) -> AffinityMatrix:
     cos = np.zeros((n, n))
     cos[nz] = np.abs(gram[nz]) / denom[nz]
     np.clip(cos, 0.0, 1.0, out=cos)
-    W = cos ** (2.0 * cfg.alpha)
-    W[~nz] = 0.0
-    return AffinityMatrix(values=W)
+    return AffinityMatrix(values=cos ** (2.0 * cfg.alpha))
 
 
 def build_ipm(C, X: DataMatrix | None, cfg: AffinityConfig) -> AffinityMatrix:
@@ -139,9 +137,7 @@ def build_ipm(C, X: DataMatrix | None, cfg: AffinityConfig) -> AffinityMatrix:
         )
     ratio = np.zeros((n, n))
     np.divide(np.abs(gram), denom, out=ratio, where=~degenerate)
-    W = ratio**cfg.alpha
-    W[degenerate] = 0.0
-    return AffinityMatrix(values=W)
+    return AffinityMatrix(values=ratio**cfg.alpha)
 
 
 # name -> builder called as (C, X, cfg); the adapters drop what a builder does not read

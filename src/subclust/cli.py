@@ -108,10 +108,11 @@ def _cmd_synth(args) -> int:
 def _cmd_run(args) -> int:
     cfg = load_experiment_config(args.config)
     result = run_experiment(cfg)
+    converged = "yes" if result.solver_converged else "no"
     print(
         f"{cfg.solver}+{cfg.affinity}: mean={result.mean:.2f} std={result.std:.2f} "
         f"max={result.max:.2f} min={result.min:.2f} "
-        f"(trials={len(result.per_trial)}, converged={result.solver_converged:.0%}, "
+        f"(trials={len(result.per_trial)}, converged={converged}, "
         f"{result.wall_time_s:.1f}s)"
     )
     if args.out:

@@ -220,16 +220,26 @@ def pca_project(X: DataMatrix, target_dim: int) -> DataMatrix:
 
 
 def normalize_columns(X: DataMatrix) -> DataMatrix:
-    """Scale every nonzero column to unit l2 norm; zero columns pass through."""
-    norms = np.linalg.norm(X.values, axis=0)
-    zero = norms == 0.0
+    """Scale every nonzero column to unit l2 norm; zero columns pass through.
+
+    A column whose plain norm overflows, or falls below sqrt(tiny) where its
+    squares lose precision, is first divided by its largest magnitude; every
+    other column is divided by its plain norm alone.
+    """
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(X.values, axis=0)
+    peak = np.max(np.abs(X.values), axis=0)
+    zero = peak == 0.0
     if np.any(zero):
         warnings.warn(
             f"normalize_columns: {int(zero.sum())} zero column(s) left unchanged",
             stacklevel=2,
         )
-    safe = np.where(zero, 1.0, norms)
-    return DataMatrix(X.values / safe)
+    out_of_range = ~zero & ((norms < np.sqrt(np.finfo(np.float64).tiny)) | np.isinf(norms))
+    # dividing the other columns by 1.0 keeps their bits and the memory layout
+    values = X.values / np.where(out_of_range, peak, 1.0)
+    norms[out_of_range] = np.linalg.norm(values[:, out_of_range], axis=0)
+    return DataMatrix(values / np.where(zero, 1.0, norms))
 
 
 def generate_synthetic(spec: SyntheticSpec) -> Dataset:

@@ -12,6 +12,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial.distance import pdist, squareform
 
 from .data import DataMatrix
 from .errors import ConfigError, DataError, NumericalError, require, require_one_of
@@ -151,15 +152,13 @@ def build_knn_laplacian(X: DataMatrix, k_graph: int, epsilon: float) -> GraphLap
     n = X.n
     require("k_graph", k_graph, int, at_least=1, at_most=n - 1)
     require("epsilon", epsilon, float, above=0)
-    pts = X.values
-    W = np.zeros((n, n))
-    for i in range(n):
-        # exact differences keep distances from duplicate columns bitwise equal
-        d2 = np.sum((pts - pts[:, i : i + 1]) ** 2, axis=0)
-        d2[i] = np.inf
-        kth = np.partition(d2, k_graph - 1)[k_graph - 1]
-        W[i, d2 <= kth] = 1.0
-    W = np.maximum(W, W.T)
+    # exact differences, not a Gram-matrix GEMM, keep distances from duplicate
+    # columns bitwise equal, so ties at the k-th distance are exact
+    d2 = squareform(pdist(X.values.T, "sqeuclidean"))
+    np.fill_diagonal(d2, np.inf)
+    kth = np.partition(d2, k_graph - 1, axis=1)[:, [k_graph - 1]]
+    W = d2 <= kth
+    W = np.maximum(W, W.T).astype(np.float64)
     deg = W.sum(axis=1)
     L_hat = np.diag(deg + epsilon) - W
     return GraphLaplacian(L_hat=L_hat, W_graph=W, D_diag=deg)

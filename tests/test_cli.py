@@ -99,6 +99,12 @@ class TestRun:
         assert code == 0
         out = capsys.readouterr().out
         assert "lsr+sm" in out and "mean=" in out
+        assert "converged=yes," in out
+
+    def test_run_prints_no_for_an_unconverged_solve(self, tmp_path, capsys):
+        extra = {"solver": "ssc", "solver_config": {"max_iter": 1}}
+        assert main(["run", "--config", str(self._config(tmp_path, **extra))]) == 0
+        assert "converged=no," in capsys.readouterr().out
 
     def test_out_csv(self, tmp_path):
         out = tmp_path / "trials.csv"

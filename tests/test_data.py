@@ -1,5 +1,7 @@
 """Dataset I/O, preprocessing, and synthetic generation tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -191,6 +193,33 @@ class TestNormalize:
         values = np.array([[1.0, 0.0], [2.0, 0.0]])
         with pytest.warns(UserWarning, match="zero column"):
             X = normalize_columns(DataMatrix(values))
+        assert np.all(X.values[:, 1] == 0.0)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-160, 1e-310])
+    def test_extreme_scales_give_unit_columns(self, scale):
+        values = generate_synthetic(SyntheticSpec(3, 2, 12, 6, 0.01, seed=3)).matrix.values
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            X = normalize_columns(DataMatrix(values * scale))
+        eps = np.finfo(np.float64).eps
+        assert np.max(np.abs(np.linalg.norm(X.values, axis=0) - 1.0)) <= 4 * eps
+        if scale != 1e-310:  # subnormal inputs are themselves rounded
+            unit = normalize_columns(DataMatrix(values)).values
+            assert np.max(np.abs(X.values - unit)) <= 4 * eps
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_ordinary_scale_divides_by_the_plain_norm(self, order):
+        values = np.asarray(np.random.default_rng(6).standard_normal((7, 12)), order=order)
+        X = normalize_columns(DataMatrix(values))
+        assert X.values.tobytes() == (values / np.linalg.norm(values, axis=0)).tobytes()
+        # the layout sets the summation order of later column norms (a CSV loads as F)
+        assert X.values.flags.f_contiguous == (order == "F")
+
+    def test_zero_column_beside_a_subnormal_one(self):
+        values = np.array([[3e-310, 0.0], [4e-310, 0.0]])
+        with pytest.warns(UserWarning, match="1 zero column"):
+            X = normalize_columns(DataMatrix(values))
+        assert np.allclose(X.values[:, 0], [0.6, 0.8], rtol=0, atol=1e-15)
         assert np.all(X.values[:, 1] == 0.0)
 
 

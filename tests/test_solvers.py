@@ -235,6 +235,38 @@ class TestClosedFormsAgainstDenseReference:
             solver_fn(_random_matrix(0, 5, 9), default_solver_config(name))
 
 
+def _knn_laplacian_by_loop(X, k_graph, epsilon):
+    """Reference kNN Laplacian: one exact-difference distance row per point."""
+    pts, n = X.values, X.n
+    W = np.zeros((n, n))
+    for i in range(n):
+        d2 = np.sum((pts - pts[:, i : i + 1]) ** 2, axis=0)
+        d2[i] = np.inf
+        kth = np.partition(d2, k_graph - 1)[k_graph - 1]
+        W[i, d2 <= kth] = 1.0
+    W = np.maximum(W, W.T)
+    deg = W.sum(axis=1)
+    return np.diag(deg + epsilon) - W, W, deg
+
+
+def _knn_inputs():
+    rng = np.random.default_rng(23)
+    usps = generate_synthetic(SyntheticSpec(10, 5, 256, 50, 0.08, seed=0))
+    grid = np.array(np.meshgrid(*[np.arange(3.0)] * 3)).reshape(3, -1)
+    return {
+        # column-major, as the CLI loads a CSV
+        "usps-256x500": np.asfortranarray(prepare_dataset(usps, normalize=True).matrix.values),
+        "triplicated": np.tile(rng.standard_normal((6, 15)), 3),
+        "quarters": np.round(4.0 * rng.standard_normal((5, 40))) / 4.0,
+        "integer-grid": grid,
+        "d=1": rng.integers(0, 8, size=(1, 30)).astype(np.float64),
+        "identical": np.full((4, 10), 0.3),
+    }
+
+
+_KNN_INPUTS = _knn_inputs()
+
+
 class TestKnnLaplacian:
     def test_two_pairs_k1(self):
         pts = np.array([[0.0, 0.001, 5.0, 5.001], [0.0, 0.0, 0.0, 0.0]])
@@ -257,6 +289,19 @@ class TestKnnLaplacian:
         lap = build_knn_laplacian(X, 3, eps)
         smallest = np.linalg.eigvalsh(lap.L_hat)[0]
         assert smallest >= eps - 1e-10
+
+    @pytest.mark.parametrize("k", ["1", "4", "n-1"])
+    @pytest.mark.parametrize("name", list(_KNN_INPUTS))
+    def test_matches_reference_loop(self, name, k):
+        X = DataMatrix(_KNN_INPUTS[name])
+        k_graph = X.n - 1 if k == "n-1" else int(k)
+        lap = build_knn_laplacian(X, k_graph, 0.01)
+        ref = _knn_laplacian_by_loop(X, k_graph, 0.01)
+        for got, want in zip((lap.L_hat, lap.W_graph, lap.D_diag), ref):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        if name == "identical":
+            assert np.all(lap.W_graph == 1.0 - np.eye(X.n))
 
     def test_k_out_of_range(self):
         X = _random_matrix(2, 3, 6, normalize=False)
