@@ -134,7 +134,8 @@ def load_matrix_binary(path) -> np.ndarray:
             f"{path}: expected {expected} bytes for a {d}x{n} matrix, got {len(blob)}"
         )
     flat = np.frombuffer(blob, dtype="<f8", offset=13)
-    return flat.reshape((d, n), order="F").copy()
+    # column-major like the transposed CSV rows, so both copies normalize alike
+    return flat.reshape((d, n), order="F").copy(order="F")
 
 
 def save_matrix_binary(values: np.ndarray, path) -> None:

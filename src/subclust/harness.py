@@ -189,14 +189,15 @@ def materialize_dataset(source: DatasetFiles | SyntheticSpec) -> Dataset:
 
 
 def _score_cell(ds, C, affinity, acfg, k, seeds, t0):
-    """Build W from C, embed it once and score one seeded k-means run per seed.
+    """Build W from C, embed it once and score one seeded k-means trial per seed.
 
-    Returns W, the per-trial labels and the trial statistics, whose
-    wall_time_s runs from t0 to the end of scoring.
+    All trials run in one batch call of kmeans, whose labels per seed are
+    those of a call with that seed alone. Returns W, the per-trial labels and
+    the trial statistics, whose wall_time_s runs from t0 to the end of scoring.
     """
     W = build_affinity(affinity, C, ds.matrix, acfg)
     embedding = spectral_embed(W, k)
-    labels = [kmeans(embedding, k, seed=seed) for seed in seeds]
+    labels = kmeans(embedding, k, seeds)
     accuracies = [clustering_accuracy(trial, ds.truth) for trial in labels]
     return W, labels, summarize_trials(accuracies, time.perf_counter() - t0, C.report.converged)
 

@@ -120,8 +120,13 @@ def singular_value_threshold(M: np.ndarray, tau: float) -> np.ndarray:
     if tau < 0:
         raise ConfigError(f"tau must be >= 0, got {tau!r}")
     M = np.asarray(M, dtype=np.float64)
-    if np.linalg.norm(M) <= tau * (1.0 - 1e-12):
+    norm = np.linalg.norm(M)
+    if norm <= tau * (1.0 - 1e-12):
         return np.zeros_like(M)
+    if not np.isfinite(norm) and not np.all(np.isfinite(M)):
+        raise NumericalError(
+            "SVT input overflowed to non-finite entries; the data scale is too large"
+        )
     try:
         U, s, Vt = np.linalg.svd(M, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -272,6 +277,11 @@ def solve_ssc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
         warnings.warn("ssc: data columns are mutually orthogonal; using lambda_e = lam")
         mu_e = 1.0
     lambda_e = cfg.lam / mu_e
+    if not np.isfinite(lambda_e):
+        raise NumericalError(
+            f"ssc produced non-finite coefficients at lam={cfg.lam!r}: lambda_e = lam / mu_e "
+            f"is inf at mu_e = {mu_e!r}; the data scale is too small or lam too large"
+        )
     rho1 = lambda_e  # penalty on the reconstruction constraint
     rho2 = cfg.lam
 

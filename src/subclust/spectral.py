@@ -9,6 +9,7 @@ repeatable.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -60,77 +61,132 @@ def spectral_embed(W, n_clusters: int) -> np.ndarray:
     return embedding
 
 
-def _kmeans_plus_plus(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = points.shape[0]
-    centers = np.empty((k, points.shape[1]))
-    first = int(rng.integers(n))
-    centers[0] = points[first]
-    closest = np.sum((points - centers[0]) ** 2, axis=1)
+def _distance_table(points: np.ndarray, block_size: int = 1 << 16) -> np.ndarray:
+    """Squared distances between all rows, built in blocks of about block_size values.
+
+    Row i is bitwise np.sum((points - points[i]) ** 2, axis=1): both reduce
+    the same contiguous length-d rows of differences.
+    """
+    n, d = points.shape
+    table = np.empty((n, n))
+    step = max(1, block_size // max(1, n * d))
+    for start in range(0, n, step):
+        diff = points[None, :, :] - points[start : start + step, None, :]
+        diff **= 2
+        table[start : start + step] = diff.sum(axis=2)
+    return table
+
+
+def _seed_chains(table: np.ndarray, k: int, rngs) -> np.ndarray:
+    """One k-means++ seeding per generator, all in lockstep; returns (len(rngs), k) rows.
+
+    Each draw is that of rng.choice(n, p=closest / total), minus its
+    validation of p, or rng.integers(n) where all remaining points coincide
+    with a chosen center. So each generator is consumed and left as by a
+    seeding of its own.
+    """
+    n = table.shape[0]
+    rows = np.empty((len(rngs), k), dtype=np.intp)
+    rows[:, 0] = [rng.integers(n) for rng in rngs]
+    closest = table[rows[:, 0]]
     for j in range(1, k):
-        total = closest.sum()
-        if total > 0:
-            # the draw of rng.choice(n, p=closest / total), minus its validation of p
-            cdf = np.cumsum(closest / total)
-            cdf /= cdf[-1]
-            idx = int(np.searchsorted(cdf, rng.random(), side="right"))
-        else:  # all remaining points coincide with a chosen center
-            idx = int(rng.integers(n))
-        centers[j] = points[idx]
-        closest = np.minimum(closest, np.sum((points - centers[j]) ** 2, axis=1))
-    return centers
+        totals = closest.sum(axis=1)
+        drawn = totals > 0
+        cdf = np.cumsum(closest[drawn] / totals[drawn, None], axis=1)
+        cdf /= cdf[:, -1:]
+        uniforms = [rng.random() for rng, draw in zip(rngs, drawn) if draw]
+        rows[~drawn, j] = [rng.integers(n) for rng, draw in zip(rngs, drawn) if not draw]
+        # each row's searchsorted(cdf, u, side="right"), as the cdf is nondecreasing
+        rows[drawn, j] = np.count_nonzero(cdf <= np.array(uniforms)[:, None], axis=1)
+        closest = np.minimum(closest, table[rows[:, j]])
+    return rows
 
 
-def _assign(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    d2 = (
-        np.sum(points * points, axis=1)[:, None]
-        - 2.0 * points @ centers.T
-        + np.sum(centers * centers, axis=1)[None, :]
-    )
-    labels = np.argmin(d2, axis=1)
-    return labels, np.maximum(d2[np.arange(points.shape[0]), labels], 0.0)
+def _assign(scaled, norms, centers):
+    """Each chain's labels and clamped squared distances to its nearest center.
+
+    scaled is -2 * points and norms their squared row norms: per chain d2 has
+    the bits of norms - (2 * points) @ centers.T + |centers|^2, subnormal
+    products included.
+    """
+    d2 = np.matmul(scaled[None], centers.transpose(0, 2, 1))
+    d2 += norms[:, None]
+    d2 += np.sum(centers * centers, axis=2)[:, None, :]
+    labels = np.argmin(d2, axis=2)
+    dist = np.take_along_axis(d2, labels[:, :, None], axis=2)[:, :, 0]
+    return labels, np.maximum(dist, 0.0)
 
 
-def _lloyd(points, k, rng):
-    centers = _kmeans_plus_plus(points, k, rng)
-    labels, dist = _assign(points, centers)
+def _lloyd(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lloyd's iteration on a stack of chains' (k, d) centers, all in lockstep.
+
+    Overwrites centers. A chain stops once its labels repeat, or after 100
+    steps. Returns each chain's labels and inertia.
+    """
+    n, d = points.shape
+    chains, k = centers.shape[:2]
+    scaled, norms = -2.0 * points, np.sum(points * points, axis=1)
+    # column j of the points once per chain, as bincount weights
+    columns = np.tile(points.T, (1, chains))
+    out_labels = np.empty((chains, n), dtype=np.intp)
+    out_dist = np.empty((chains, n))
+    active = np.arange(chains)
+    labels, dist = _assign(scaled, norms, centers)
     for _ in range(100):
-        # np.add.at sums each cluster's rows in index order, as mean(axis=0) does
+        m = len(active)
+        # bincount sums each cluster's rows in index order, as mean(axis=0) does
         # for two or more columns (one column it sums pairwise)
-        counts = np.bincount(labels, minlength=k)
-        sums = np.zeros_like(centers)
-        np.add.at(sums, labels, points)
+        bins = (labels + k * np.arange(m)[:, None]).ravel()
+        counts = np.bincount(bins, minlength=m * k).reshape(m, k)
+        sums = np.empty((m * k, d))
+        for j in range(d):
+            sums[:, j] = np.bincount(bins, weights=columns[j, : m * n], minlength=m * k)
         present = counts > 0
-        centers[present] = sums[present] / counts[present, None]
-        # re-seed the empty clusters at the worst-served point
-        centers[~present] = points[int(np.argmax(dist))]
-        new_labels, dist = _assign(points, centers)
-        if np.array_equal(new_labels, labels):
-            labels = new_labels
-            break
+        centers[present] = sums.reshape(m, k, d)[present] / counts[present, None]
+        # re-seed the empty clusters at the chain's worst-served point
+        worst = points[np.argmax(dist, axis=1)]
+        centers[~present] = worst[np.nonzero(~present)[0]]
+        new_labels, dist = _assign(scaled, norms, centers)
+        done = np.all(new_labels == labels, axis=1)
         labels = new_labels
-    return labels, float(dist.sum())
+        out_labels[active[done]] = labels[done]
+        out_dist[active[done]] = dist[done]
+        keep = ~done
+        active, labels, dist, centers = active[keep], labels[keep], dist[keep], centers[keep]
+        if not len(active):
+            break
+    out_labels[active] = labels
+    out_dist[active] = dist
+    return out_labels, out_dist.sum(axis=1)
 
 
-def kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
+def kmeans(points: np.ndarray, k: int, seed: int | Sequence[int]):
     """k-means++ with 10 restarts; returns the labels of the best-inertia run.
 
-    Each restart runs at most 100 Lloyd steps. Deterministic for fixed
-    (points, k, seed) and BLAS thread count, which can change the rounding of
-    the point-to-center distances.
+    seed is an int, or a sequence of ints for a batch: then one label array is
+    returned per seed, each bitwise what the call with that int returns. A
+    batch runs the seedings of all its trials in lockstep and the Lloyd steps
+    of all its restarts in lockstep; it holds the n x n squared-distance table
+    plus about 10 * trials * n * (k + d) floats. Each restart runs at most 100
+    Lloyd steps. Deterministic for fixed (points, k, seed) and BLAS thread
+    count, which can change the rounding of the point-to-center distances.
     """
-    points = np.asarray(points, dtype=np.float64)
+    points = np.ascontiguousarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise ConfigError("points must be a 2-D array")
     if not np.all(np.isfinite(points)):
         raise DataError("points contain non-finite entries")
     require("k", k, int, at_least=1, at_most=points.shape[0])
-    rng = np.random.default_rng(seed)
-    best_labels, best_inertia = None, np.inf
-    for _ in range(10):
-        labels, inertia = _lloyd(points, k, rng)
-        if inertia < best_inertia:
-            best_labels, best_inertia = labels, inertia
-    return best_labels
+    batch = np.ndim(seed) != 0
+    rngs = [np.random.default_rng(s) for s in (seed if batch else [seed])]
+    table = _distance_table(points)
+    # chain t * 10 + r is restart r of trial t; restarts draw in sequence
+    rows = np.stack([_seed_chains(table, k, rngs) for _ in range(10)], axis=1)
+    labels, inertia = _lloyd(points, points[rows.reshape(-1, k)])
+    # the first restart of least inertia, as a strict < scan picks
+    best = inertia.reshape(-1, 10).argmin(axis=1)
+    trials = list(labels.reshape(len(rngs), 10, points.shape[0])[np.arange(len(rngs)), best])
+    return trials if batch else trials[0]
 
 
 def cluster(W, n_clusters: int, seed: int = 0) -> LabelVector:

@@ -10,12 +10,14 @@ from subclust import (
     Dataset,
     LabelVector,
     SyntheticSpec,
+    default_solver_config,
     generate_synthetic,
     load_dataset,
     normalize_columns,
     pca_project,
     prepare_dataset,
     save_dataset,
+    solve_lsr,
 )
 from subclust.data import load_matrix_binary, save_matrix_binary
 from subclust.errors import ConfigError, DataError
@@ -52,6 +54,21 @@ class TestLoadSave:
         back = load_dataset(tmp_path / "m.bin", tmp_path / "l.txt", "binary")
         assert np.array_equal(back.matrix.values, ds.matrix.values)
         assert np.array_equal(back.truth.labels, ds.truth.labels)
+
+    def test_binary_and_csv_copies_prepare_alike(self, tmp_path):
+        # both formats load column-major, so normalize_columns' column norms
+        # sum in the same order and the prepared copies keep equal bits
+        ds = generate_synthetic(SyntheticSpec(10, 5, 256, 50, 0.08, seed=1))
+        save_dataset(ds, tmp_path / "m.csv", tmp_path / "l.txt", "csv")
+        save_dataset(ds, tmp_path / "m.bin", tmp_path / "l.txt", "binary")
+        csv, binary = (
+            prepare_dataset(load_dataset(tmp_path / name, tmp_path / "l.txt", fmt))
+            for name, fmt in (("m.csv", "csv"), ("m.bin", "binary"))
+        )
+        assert binary.matrix.values.tobytes() == csv.matrix.values.tobytes()
+        cfg = default_solver_config("lsr")
+        C_csv, C_binary = solve_lsr(csv.matrix, cfg), solve_lsr(binary.matrix, cfg)
+        assert C_binary.values.tobytes() == C_csv.values.tobytes()
 
     def test_binary_header_dims(self, tmp_path):
         ds = _random_dataset(seed=9, d=4, n=6)

@@ -545,6 +545,34 @@ class TestOverflowingLam:
                 solvers.solve(name, X, default_solver_config(name, lam=1e308))
 
 
+class TestExtremeDataScale:
+    """Unnormalized data at an extreme scale fails with a message naming the
+    overflow or underflow, not the SVD or the coefficients it breaks."""
+
+    @staticmethod
+    def _scaled(scale):
+        ds = generate_synthetic(SyntheticSpec(3, 3, 20, 15, 0.05, seed=1))
+        return DataMatrix(ds.matrix.values * scale)
+
+    def test_lrrsc_names_the_overflowed_svt_input(self):
+        # the iterates overflow first (Xv - Xv @ C), and inf - inf makes NaNs
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match="SVT input overflowed.*data scale"):
+                solve_lrrsc(self._scaled(1e150), default_solver_config("lrrsc"))
+
+    def test_svt_of_a_finite_input_whose_norm_overflows(self):
+        M = np.diag([1e200, 2e200, 3e200])
+        with np.errstate(over="ignore"):
+            assert np.linalg.norm(M) == np.inf
+            out = singular_value_threshold(M, 1e199)
+        assert np.allclose(out, np.diag([0.9e200, 1.9e200, 2.9e200]), rtol=1e-12, atol=0.0)
+
+    def test_ssc_names_the_underflowed_mu_e(self):
+        # raised before the ridge solve, whose inf / inf is the first warning
+        with pytest.raises(NumericalError, match="mu_e = .*e-32.*data scale is too small"):
+            solve_ssc(self._scaled(1e-160), default_solver_config("ssc"))
+
+
 class TestConfig:
     def test_positive_parameters_enforced(self):
         with pytest.raises(ConfigError):

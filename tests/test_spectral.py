@@ -17,7 +17,7 @@ from subclust import (
 )
 from subclust.affinity import build_sm
 from subclust.errors import ConfigError, DataError
-from subclust.spectral import _kmeans_plus_plus, _lloyd, spectral_embed
+from subclust.spectral import _distance_table, _lloyd, _seed_chains, spectral_embed
 
 
 def _block_affinity(sizes, weights, rng=None, noise=0.0):
@@ -203,6 +203,17 @@ def _duplicates(seed):
     return rng.standard_normal((3, 4))[rng.integers(0, 3, 40)], 5
 
 
+def _underflowing_duplicates(seed):
+    """30 points on 3 positions 1.5e-162 apart on a line, clustered with k = 4.
+
+    The squared distance of neighbouring positions underflows to 0 and that
+    of the outer two does not. So closest sums to 0 one step after a middle
+    first center and two steps after an outer one: one batch mixes both draws.
+    """
+    positions = np.array([[0.0, 0.0], [1.5e-162, 0.0], [3e-162, 0.0]])
+    return positions[np.random.default_rng(seed).integers(0, 3, 30)], 4
+
+
 _REFERENCE_CASES = [
     pytest.param(_unit_embedding(260, 20, 0), 20, id="n260-k20"),
     pytest.param(_unit_embedding(260, 20, 1), 20, id="n260-k20-b"),
@@ -213,9 +224,16 @@ _REFERENCE_CASES = [
     # argmin tie, so its cluster is empty and gets re-seeded
     pytest.param(*_duplicates(4), id="duplicates"),
     pytest.param(*_duplicates(5), id="duplicates-b"),
+    pytest.param(*_underflowing_duplicates(9), id="duplicates-underflow"),
     pytest.param(np.random.default_rng(6).standard_normal((12, 3)), 12, id="k-equals-n"),
     pytest.param(np.random.default_rng(7).standard_normal((30, 3)), 1, id="k-one"),
 ]
+
+
+def _seed_and_lloyd(points, k, seeds):
+    """Each seed's restart as one chain of a lockstep seeding and Lloyd run."""
+    rows = _seed_chains(_distance_table(points), k, [np.random.default_rng(s) for s in seeds])
+    return _lloyd(points, points[rows])
 
 
 class TestAgainstReferenceKMeans:
@@ -229,27 +247,46 @@ class TestAgainstReferenceKMeans:
         assert kmeans(points, k, seed).tobytes() == _ref_kmeans(points, k, seed).tobytes()
 
     @pytest.mark.parametrize("points, k", _REFERENCE_CASES)
+    def test_batch_same_labels_per_seed(self, points, k):
+        seeds = [100 + i for i in range(10)]
+        refs = [_ref_kmeans(points, k, seed).tobytes() for seed in seeds]
+        for count in (1, 5, 10):
+            batch = kmeans(points, k, seeds[:count])
+            assert [labels.tobytes() for labels in batch] == refs[:count]
+
+    @pytest.mark.parametrize("points, k", _REFERENCE_CASES)
     def test_lloyd_same_labels_and_inertia(self, points, k):
+        labels, inertia = _seed_and_lloyd(points, k, range(3))
         for seed in range(3):
-            labels, inertia = _lloyd(points, k, np.random.default_rng(seed))
             ref_labels, ref_inertia = _ref_lloyd(points, k, np.random.default_rng(seed))
-            assert labels.tobytes() == ref_labels.tobytes()
-            assert inertia == ref_inertia
+            assert labels[seed].tobytes() == ref_labels.tobytes()
+            assert inertia[seed] == ref_inertia
 
     def test_one_column_inertia_within_rounding(self):
-        # a one-column mean(axis=0) sums pairwise, np.add.at in index order, so
+        # a one-column mean(axis=0) sums pairwise, bincount in index order, so
         # the centers may differ in the last bits
         points = np.random.default_rng(8).standard_normal((150, 1))
-        labels, inertia = _lloyd(points, 4, np.random.default_rng(0))
+        labels, inertia = _seed_and_lloyd(points, 4, [0])
         ref_labels, ref_inertia = _ref_lloyd(points, 4, np.random.default_rng(0))
-        assert np.array_equal(labels, ref_labels)
-        assert inertia == pytest.approx(ref_inertia, rel=1e-13)
+        assert np.array_equal(labels[0], ref_labels)
+        assert inertia[0] == pytest.approx(ref_inertia, rel=1e-13)
+
+
+class TestDistanceTable:
+    @pytest.mark.parametrize("d", [1, 2, 8, 9, 20, 130])
+    @pytest.mark.parametrize("rows_per_block", [1, 5])
+    def test_rows_bitwise_equal_to_one_point_at_a_time(self, d, rows_per_block):
+        n = 37  # 5 does not divide it: the last block is short
+        points = np.random.default_rng(d).standard_normal((n, d))
+        table = _distance_table(points, block_size=rows_per_block * n * d)
+        for i in range(n):
+            assert table[i].tobytes() == np.sum((points - points[i]) ** 2, axis=1).tobytes()
 
 
 class TestKMeansPlusPlusDraw:
-    """The seeding draws what rng.choice(n, p=closest / total) draws and leaves
-    the generator in the same state, so later restarts and trials see the same
-    stream."""
+    """The lockstep seeding draws what rng.choice(n, p=closest / total) draws
+    and leaves each generator in the state a seeding of its own does, so later
+    restarts and trials see the same stream."""
 
     @pytest.mark.parametrize("case", range(40))
     def test_same_centers_and_generator_state(self, case):
@@ -257,11 +294,20 @@ class TestKMeansPlusPlusDraw:
         n = int(rng.integers(2, 120))
         k = int(rng.integers(1, n + 1))
         points = rng.standard_normal((n, int(rng.integers(1, 6))))  # distinct rows
-        for seed in range(5):
-            new_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-            centers = _kmeans_plus_plus(points, k, new_rng)
-            assert centers.tobytes() == _ref_kmeans_plus_plus(points, k, ref_rng).tobytes()
+        rngs = [np.random.default_rng(seed) for seed in range(5)]
+        rows = _seed_chains(_distance_table(points), k, rngs)
+        for seed, chain_rows, new_rng in zip(range(5), rows, rngs):
+            ref_rng = np.random.default_rng(seed)
+            assert points[chain_rows].tobytes() == _ref_kmeans_plus_plus(points, k, ref_rng).tobytes()
             assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_one_batch_mixes_both_draws(self):
+        points, k = _underflowing_duplicates(9)
+        table = _distance_table(points)
+        rows = _seed_chains(table, k, [np.random.default_rng(seed) for seed in range(10)])
+        # closest before draw j is the running minimum of the chosen rows
+        totals = np.minimum.accumulate(table[rows], axis=1).sum(axis=2)
+        assert np.any(totals[:, 0] == 0) and np.any(totals[:, 0] > 0)
 
 
 class TestCluster:
