@@ -72,7 +72,6 @@ class Dataset:
 
     matrix: DataMatrix
     truth: LabelVector
-    name: str = "unnamed"
     preprocessing: tuple[str, ...] = ()
 
     def __post_init__(self):
@@ -157,7 +156,7 @@ def _load_labels(path) -> np.ndarray:
     return raw
 
 
-def load_dataset(matrix_path, labels_path, format: str = "csv", name: str | None = None) -> Dataset:
+def load_dataset(matrix_path, labels_path, format: str = "csv") -> Dataset:
     """Load a dataset from a matrix file plus a one-integer-per-line labels file.
 
     Labels are remapped to contiguous 0..k-1. CSV matrices are transposed so
@@ -176,13 +175,12 @@ def load_dataset(matrix_path, labels_path, format: str = "csv", name: str | None
             f"matrix {matrix_path} has {matrix.n} samples but "
             f"{labels_path} has {len(truth)} labels"
         )
-    return Dataset(matrix=matrix, truth=truth, name=name or str(matrix_path))
+    return Dataset(matrix=matrix, truth=truth)
 
 
-def save_labels(labels, path) -> None:
+def save_labels(labels: LabelVector, path) -> None:
     """Write labels as one integer per line."""
-    values = labels.labels if isinstance(labels, LabelVector) else labels
-    np.savetxt(path, np.asarray(values, dtype=np.int64), fmt="%d")
+    np.savetxt(path, labels.labels, fmt="%d")
 
 
 def save_dataset(ds: Dataset, matrix_path, labels_path, format: str = "csv") -> None:
@@ -266,16 +264,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
         labels[i * m : (i + 1) * m] = i
     if spec.noise_sigma > 0:
         values += spec.noise_sigma * rng.standard_normal((d, total))
-
-    name = (
-        f"synthetic(K={spec.num_subspaces},r={r},d={d},m={m},"
-        f"sigma={spec.noise_sigma},seed={spec.seed})"
-    )
-    return Dataset(
-        matrix=DataMatrix(values),
-        truth=LabelVector(labels, spec.num_subspaces),
-        name=name,
-    )
+    return Dataset(matrix=DataMatrix(values), truth=LabelVector(labels, spec.num_subspaces))
 
 
 def prepare_dataset(ds: Dataset, pca_dim: int | None = None, normalize: bool = True) -> Dataset:

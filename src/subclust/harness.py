@@ -10,7 +10,6 @@ is exactly reproducible.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import MISSING, dataclass, field, fields, replace
 from importlib import resources
 
@@ -89,9 +88,8 @@ class ExperimentConfig:
 class ExperimentResult:
     """Trial statistics of one experiment (accuracies in percent).
 
-    wall_time_s covers affinity through scoring for a grid cell, and loading
-    through scoring for run_experiment. artifacts holds (C, W, trial-0
-    labels); only run_experiment sets it, so a grid holds one W at a time.
+    artifacts holds (C, W, trial-0 labels); only run_experiment sets it, so a
+    grid holds one W at a time.
     """
 
     mean: float
@@ -99,7 +97,6 @@ class ExperimentResult:
     max: float
     min: float
     per_trial: tuple[float, ...]
-    wall_time_s: float
     solver_converged: bool
     artifacts: tuple | None = field(default=None, compare=False, repr=False)
 
@@ -110,7 +107,7 @@ class ExperimentResult:
             raise ConfigError("standard deviation cannot be negative")
 
 
-def summarize_trials(accuracies, wall_time_s: float, solver_converged: bool) -> ExperimentResult:
+def summarize_trials(accuracies, solver_converged: bool) -> ExperimentResult:
     """Aggregate per-trial accuracies with the sample (n-1) std convention."""
     acc = np.asarray(list(accuracies), dtype=np.float64)
     std = float(np.std(acc, ddof=1)) if acc.size > 1 else 0.0
@@ -120,7 +117,6 @@ def summarize_trials(accuracies, wall_time_s: float, solver_converged: bool) -> 
         max=float(np.max(acc)),
         min=float(np.min(acc)),
         per_trial=tuple(float(a) for a in acc),
-        wall_time_s=wall_time_s,
         solver_converged=solver_converged,
     )
 
@@ -188,18 +184,18 @@ def materialize_dataset(source: DatasetFiles | SyntheticSpec) -> Dataset:
     return load_dataset(source.matrix_path, source.labels_path, source.format)
 
 
-def _score_cell(ds, C, affinity, acfg, k, seeds, t0):
+def _score_cell(ds, C, affinity, acfg, k, seeds):
     """Build W from C, embed it once and score one seeded k-means trial per seed.
 
-    All trials run in one batch call of kmeans, whose labels per seed are
-    those of a call with that seed alone. Returns W, the per-trial labels and
-    the trial statistics, whose wall_time_s runs from t0 to the end of scoring.
+    All trials go through one call of kmeans, whose labels per seed are those
+    of a call with that seed alone. Returns W, the per-trial labels and the
+    trial statistics.
     """
     W = build_affinity(affinity, C, ds.matrix, acfg)
     embedding = spectral_embed(W, k)
     labels = kmeans(embedding, k, seeds)
     accuracies = [clustering_accuracy(trial, ds.truth) for trial in labels]
-    return W, labels, summarize_trials(accuracies, time.perf_counter() - t0, C.report.converged)
+    return W, labels, summarize_trials(accuracies, C.report.converged)
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
@@ -209,14 +205,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     matrix, the affinity and the trial-0 labels. n_clusters is checked
     against the number of points before the solve.
     """
-    t0 = time.perf_counter()
     ds = prepare_dataset(materialize_dataset(cfg.dataset), cfg.pca_dim, cfg.normalize)
     require("n_clusters", cfg.n_clusters, int, at_least=2, at_most=ds.matrix.n)
     C = solve(cfg.solver, ds.matrix, cfg.solver_config or default_solver_config(cfg.solver))
     seeds = [trial_seed(cfg.master_seed, i) for i in range(cfg.trials)]
-    W, labels, result = _score_cell(
-        ds, C, cfg.affinity, cfg.affinity_config, cfg.n_clusters, seeds, t0
-    )
+    W, labels, result = _score_cell(ds, C, cfg.affinity, cfg.affinity_config, cfg.n_clusters, seeds)
     return replace(result, artifacts=(C, W, LabelVector(labels[0], cfg.n_clusters)))
 
 
@@ -230,8 +223,6 @@ class GridResult:
 
     cells: dict
     errors: dict
-    trials: int
-    master_seed: int
 
 
 def run_grid(
@@ -248,8 +239,7 @@ def run_grid(
     Each solver's coefficient matrix is computed once and reused across its
     four affinities. A cell that fails with a SubclustError or LinAlgError
     records its error and the grid continues; any other exception is a bug
-    and propagates. A cell's wall_time_s covers affinity through scoring,
-    not the solve.
+    and propagates.
     """
     if presets is not None and preset_name is None:
         raise ConfigError("preset_name is required when a PresetTable is supplied")
@@ -277,42 +267,33 @@ def run_grid(
                 if presets is not None
                 else AffinityConfig()
             )
-            t0 = time.perf_counter()
             try:
-                _, _, cells[(solver, affinity)] = _score_cell(
-                    dataset, C, affinity, acfg, k, seeds, t0
-                )
+                _, _, cells[(solver, affinity)] = _score_cell(dataset, C, affinity, acfg, k, seeds)
             except _CELL_ERRORS as exc:
                 errors[(solver, affinity)] = f"{type(exc).__name__}: {exc}"
-    return GridResult(cells=cells, errors=errors, trials=trials, master_seed=master_seed)
-
-
-def _cell_text(grid: GridResult, solver: str, affinity: str, indicator: str) -> str:
-    cell = grid.cells.get((solver, affinity))
-    if cell is None:
-        return "ERR"
-    return f"{getattr(cell, indicator.lower()):.2f}"
+    return GridResult(cells=cells, errors=errors)
 
 
 def emit_table(grid: GridResult, format: str = "console") -> str:
-    """Render the grid grouped by affinity then indicator, columns LSR SMR LRRSC SSC."""
-    if require_one_of("table format", format, ("console", "csv")) == "csv":
-        lines = ["method,indicator," + ",".join(s.upper() for s in SOLVER_COLUMNS)]
-        for affinity in AFFINITY_ROWS:
-            for indicator in INDICATORS:
-                values = [_cell_text(grid, s, affinity, indicator) for s in SOLVER_COLUMNS]
-                lines.append(f"{affinity.upper()},{indicator}," + ",".join(values))
-        return "\n".join(lines) + "\n"
-    header = f"{'Method':<8}{'indicator':<11}" + "".join(f"{s.upper():>9}" for s in SOLVER_COLUMNS)
-    lines = [header]
+    """Render the grid grouped by affinity then indicator, columns LSR SMR LRRSC SSC.
+
+    A cell with no result, failed or missing, prints ERR.
+    """
+    csv = require_one_of("table format", format, ("console", "csv")) == "csv"
+    rows = [["method" if csv else "Method", "indicator", *(s.upper() for s in SOLVER_COLUMNS)]]
     for affinity in AFFINITY_ROWS:
-        for row, indicator in enumerate(INDICATORS):
-            label = affinity.upper() if row == 0 else ""
-            values = "".join(
-                f"{_cell_text(grid, s, affinity, indicator):>9}" for s in SOLVER_COLUMNS
-            )
-            lines.append(f"{label:<8}{indicator:<11}" + values)
-    return "\n".join(lines) + "\n"
+        cells = [grid.cells.get((solver, affinity)) for solver in SOLVER_COLUMNS]
+        for indicator in INDICATORS:
+            # the console names each affinity on its first row only
+            label = affinity.upper() if csv or indicator == INDICATORS[0] else ""
+            values = ["ERR" if c is None else f"{getattr(c, indicator.lower()):.2f}" for c in cells]
+            rows.append([label, indicator, *values])
+    if csv:
+        return "".join(",".join(row) + "\n" for row in rows)
+    return "".join(
+        f"{label:<8}{indicator:<11}" + "".join(f"{v:>9}" for v in values) + "\n"
+        for label, indicator, *values in rows
+    )
 
 
 # config-file key -> SolverConfig field; the one rename is "lambda" -> lam

@@ -268,8 +268,12 @@ def solve_ssc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
     """
     Xv = X.values
     d, n = Xv.shape
-    if np.any(np.linalg.norm(Xv, axis=0) == 0.0):
-        raise DataError("ssc requires nonzero columns; normalize the data first")
+    zero = np.flatnonzero(np.linalg.norm(Xv, axis=0) == 0.0)
+    if zero.size:
+        shown = ", ".join(map(str, zero[:10])) + (", ..." if zero.size > 10 else "")
+        raise DataError(
+            f"ssc requires nonzero columns; {zero.size} column(s) have zero norm, at index {shown}"
+        )
     offdiag = np.abs(_gram(X))
     np.fill_diagonal(offdiag, 0.0)
     mu_e = float(offdiag.max(axis=0).min())

@@ -160,15 +160,17 @@ def _lloyd(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndar
     return out_labels, out_dist.sum(axis=1)
 
 
-def kmeans(points: np.ndarray, k: int, seed: int | Sequence[int]):
-    """k-means++ with 10 restarts; returns the labels of the best-inertia run.
+_SEEDS_PER_BATCH = 20  # bounds a call's memory at any number of seeds
 
-    seed is an int, or a sequence of ints for a batch: then one label array is
-    returned per seed, each bitwise what the call with that int returns. A
-    batch runs the seedings of all its trials in lockstep and the Lloyd steps
-    of all its restarts in lockstep; it holds the n x n squared-distance table
-    plus about 10 * trials * n * (k + d) floats. Each restart runs at most 100
-    Lloyd steps. Deterministic for fixed (points, k, seed) and BLAS thread
+
+def kmeans(points: np.ndarray, k: int, seeds: Sequence[int]) -> list[np.ndarray]:
+    """k-means++ with 10 restarts per seed; returns each seed's best-inertia labels.
+
+    Seeds run in lockstep batches of 20: the k-means++ seedings draw from one
+    n x n squared-distance table, and the Lloyd steps of a batch's 200
+    restarts run as one stacked computation of about 200 * n * (k + d)
+    floats. Each restart runs at most 100 Lloyd steps. Each seed's labels are
+    bitwise those of a call with that seed alone at the same BLAS thread
     count, which can change the rounding of the point-to-center distances.
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
@@ -177,21 +179,22 @@ def kmeans(points: np.ndarray, k: int, seed: int | Sequence[int]):
     if not np.all(np.isfinite(points)):
         raise DataError("points contain non-finite entries")
     require("k", k, int, at_least=1, at_most=points.shape[0])
-    batch = np.ndim(seed) != 0
-    rngs = [np.random.default_rng(s) for s in (seed if batch else [seed])]
     table = _distance_table(points)
-    # chain t * 10 + r is restart r of trial t; restarts draw in sequence
-    rows = np.stack([_seed_chains(table, k, rngs) for _ in range(10)], axis=1)
-    labels, inertia = _lloyd(points, points[rows.reshape(-1, k)])
-    # the first restart of least inertia, as a strict < scan picks
-    best = inertia.reshape(-1, 10).argmin(axis=1)
-    trials = list(labels.reshape(len(rngs), 10, points.shape[0])[np.arange(len(rngs)), best])
-    return trials if batch else trials[0]
+    trials = []
+    for start in range(0, len(seeds), _SEEDS_PER_BATCH):
+        rngs = [np.random.default_rng(s) for s in seeds[start : start + _SEEDS_PER_BATCH]]
+        # chain t * 10 + r is restart r of trial t; restarts draw in sequence
+        rows = np.stack([_seed_chains(table, k, rngs) for _ in range(10)], axis=1)
+        labels, inertia = _lloyd(points, points[rows.reshape(-1, k)])
+        # the first restart of least inertia, as a strict < scan picks
+        best = inertia.reshape(-1, 10).argmin(axis=1)
+        trials += list(labels.reshape(len(rngs), 10, -1)[np.arange(len(rngs)), best])
+    return trials
 
 
 def cluster(W, n_clusters: int, seed: int = 0) -> LabelVector:
     """Spectral embedding followed by k-means; returns predicted labels."""
-    labels = kmeans(spectral_embed(W, n_clusters), n_clusters, seed=seed)
+    labels = kmeans(spectral_embed(W, n_clusters), n_clusters, [seed])[0]
     return LabelVector(labels=labels, k=n_clusters)
 
 

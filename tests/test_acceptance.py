@@ -65,9 +65,9 @@ def _benchmark_dataset(name):
     binary = root / f"{name}.bin"
     csv = root / f"{name}.csv"
     if binary.exists():
-        return load_dataset(binary, labels, "binary", name=name)
+        return load_dataset(binary, labels, "binary")
     if csv.exists():
-        return load_dataset(csv, labels, "csv", name=name)
+        return load_dataset(csv, labels, "csv")
     return None
 
 

@@ -100,6 +100,9 @@ class TestRun:
         out = capsys.readouterr().out
         assert "lsr+sm" in out and "mean=" in out
         assert "converged=yes," in out
+        # the time is the CLI's own, of loading through scoring
+        summary = r"lsr\+sm: mean=\S+ std=\S+ max=\S+ min=\S+ \(trials=3, converged=yes, \d+\.\ds\)"
+        assert re.fullmatch(summary + "\n", out)
 
     def test_run_prints_no_for_an_unconverged_solve(self, tmp_path, capsys):
         extra = {"solver": "ssc", "solver_config": {"max_iter": 1}}

@@ -55,7 +55,7 @@ NAME_SITES = [
     ("preset dataset", "coil20", lambda tmp: PresetTable.builtin().pipeline("coil20")),
     ("solver", "pca", lambda tmp: PresetTable.builtin().solver_config("yaleb", "pca")),
     ("affinity", "knn", lambda tmp: PresetTable.builtin().cell("yaleb", "lsr", "knn")),
-    ("table format", "html", lambda tmp: emit_table(GridResult({}, {}, 1, 0), "html")),
+    ("table format", "html", lambda tmp: emit_table(GridResult({}, {}), "html")),
     ("solver", "pca", lambda tmp: CoefficientMatrix(np.zeros((2, 2)), "pca")),
     ("solver", "pca", lambda tmp: solve("pca", _X(), default_solver_config("lsr"))),
 ]
@@ -80,7 +80,7 @@ RANGE_SITES = [
     (lambda: top_k_per_column(np.eye(3), 4), "k_top must be in 1..3, got 4"),
     (lambda: pca_project(_X(4, 5), 5), "target_dim must be in 1..4, got 5"),
     (lambda: spectral_embed(np.ones((3, 3)), 4), "n_clusters must be in 2..3, got 4"),
-    (lambda: kmeans(np.zeros((3, 2)), 4, 0), "k must be in 1..3, got 4"),
+    (lambda: kmeans(np.zeros((3, 2)), 4, [0]), "k must be in 1..3, got 4"),
     (lambda: build_knn_laplacian(_X(2, 4), 4, 0.01), "k_graph must be in 1..3, got 4"),
     (lambda: soft_threshold(np.ones(3), -1.0), "tau must be >= 0, got -1.0"),
     (lambda: singular_value_threshold(np.eye(3), -1.0), "tau must be >= 0, got -1.0"),
@@ -97,7 +97,7 @@ def test_data_dependent_bounds(call, message):
 @pytest.mark.parametrize(
     "name, call",
     [
-        ("k", lambda k: kmeans(np.random.default_rng(0).standard_normal((6, 2)), k, 0)),
+        ("k", lambda k: kmeans(np.random.default_rng(0).standard_normal((6, 2)), k, [0])),
         ("n_clusters", lambda k: spectral_embed(np.ones((4, 4)), k)),
         ("target_dim", lambda k: pca_project(_X(4, 5), k)),
         ("k_top", lambda k: top_k_per_column(np.eye(4), k)),

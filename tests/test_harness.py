@@ -1,6 +1,7 @@
 """Experiment harness tests: presets, trial statistics, the grid, emission."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import subclust.harness as harness
 from subclust import (
     AffinityConfig,
+    DataMatrix,
     DatasetFiles,
     ExperimentConfig,
     ExperimentResult,
@@ -172,7 +174,6 @@ class TestRunExperiment:
         assert result.max == pytest.approx(arr.max(), abs=1e-9)
         assert result.min == pytest.approx(arr.min(), abs=1e-9)
         assert isinstance(result.solver_converged, bool)
-        assert result.wall_time_s > 0.0
 
     def test_deterministic(self):
         a = run_experiment(_small_config())
@@ -244,6 +245,18 @@ class TestRunGrid:
         with pytest.raises(RuntimeError, match="internal bug"):  # a bug is not a cell failure
             run_grid(ds, trials=2, master_seed=1)
 
+    @pytest.mark.filterwarnings("ignore:.*zero:UserWarning")
+    def test_zero_column_named_in_every_ssc_cell(self):
+        ds = generate_synthetic(SMALL_SPEC)
+        values = ds.matrix.values.copy()
+        values[:, [5, 20]] = 0.0
+        ds = prepare_dataset(replace(ds, matrix=DataMatrix(values)), normalize=True)
+        grid = run_grid(ds, trials=2, master_seed=3)
+        reason = (
+            "DataError: ssc requires nonzero columns; 2 column(s) have zero norm, at index 5, 20"
+        )
+        assert grid.errors == {("ssc", affinity): reason for affinity in AFFINITY_ROWS}
+
     def test_preset_requires_name(self):
         ds = prepare_dataset(generate_synthetic(SMALL_SPEC), normalize=True)
         with pytest.raises(ConfigError):
@@ -284,6 +297,60 @@ class TestRunGrid:
             run_grid(ds, **{name: value})
 
 
+# a hand-built grid: cell (solver i, affinity j) has trials 100 - 10j - i and
+# 100 - 10j - 7i/3; smr+svdm failed
+GOLDEN_CSV = (
+    "method,indicator,LSR,SMR,LRRSC,SSC\n"
+    "SM,Mean,100.00,98.33,96.67,95.00\n"
+    "SM,STD,0.00,0.94,1.89,2.83\n"
+    "SM,Max,100.00,99.00,98.00,97.00\n"
+    "SM,Min,100.00,97.67,95.33,93.00\n"
+    "SSM,Mean,90.00,88.33,86.67,85.00\n"
+    "SSM,STD,0.00,0.94,1.89,2.83\n"
+    "SSM,Max,90.00,89.00,88.00,87.00\n"
+    "SSM,Min,90.00,87.67,85.33,83.00\n"
+    "SVDM,Mean,80.00,ERR,76.67,75.00\n"
+    "SVDM,STD,0.00,ERR,1.89,2.83\n"
+    "SVDM,Max,80.00,ERR,78.00,77.00\n"
+    "SVDM,Min,80.00,ERR,75.33,73.00\n"
+    "IPM,Mean,70.00,68.33,66.67,65.00\n"
+    "IPM,STD,0.00,0.94,1.89,2.83\n"
+    "IPM,Max,70.00,69.00,68.00,67.00\n"
+    "IPM,Min,70.00,67.67,65.33,63.00\n"
+)
+GOLDEN_CONSOLE = (
+    "Method  indicator        LSR      SMR    LRRSC      SSC\n"
+    "SM      Mean          100.00    98.33    96.67    95.00\n"
+    "        STD             0.00     0.94     1.89     2.83\n"
+    "        Max           100.00    99.00    98.00    97.00\n"
+    "        Min           100.00    97.67    95.33    93.00\n"
+    "SSM     Mean           90.00    88.33    86.67    85.00\n"
+    "        STD             0.00     0.94     1.89     2.83\n"
+    "        Max            90.00    89.00    88.00    87.00\n"
+    "        Min            90.00    87.67    85.33    83.00\n"
+    "SVDM    Mean           80.00      ERR    76.67    75.00\n"
+    "        STD             0.00      ERR     1.89     2.83\n"
+    "        Max            80.00      ERR    78.00    77.00\n"
+    "        Min            80.00      ERR    75.33    73.00\n"
+    "IPM     Mean           70.00    68.33    66.67    65.00\n"
+    "        STD             0.00     0.94     1.89     2.83\n"
+    "        Max            70.00    69.00    68.00    67.00\n"
+    "        Min            70.00    67.67    65.33    63.00\n"
+)
+
+
+def _golden_grid():
+    cells = {
+        (solver, affinity): summarize_trials(
+            [100.0 - 10 * j - i, 100.0 - 10 * j - 7 * i / 3], True
+        )
+        for j, affinity in enumerate(AFFINITY_ROWS)
+        for i, solver in enumerate(SOLVER_COLUMNS)
+        if (solver, affinity) != ("smr", "svdm")
+    }
+    return GridResult(cells=cells, errors={("smr", "svdm"): "NumericalError: boom"})
+
+
 class TestEmitTable:
     def _grid(self):
         ds = prepare_dataset(generate_synthetic(SMALL_SPEC), normalize=True)
@@ -310,12 +377,7 @@ class TestEmitTable:
         grid = self._grid()
         cells = dict(grid.cells)
         del cells[("smr", "svdm")]
-        partial = GridResult(
-            cells=cells,
-            errors={("smr", "svdm"): "RuntimeError: boom"},
-            trials=grid.trials,
-            master_seed=grid.master_seed,
-        )
+        partial = GridResult(cells=cells, errors={("smr", "svdm"): "RuntimeError: boom"})
         text = emit_table(partial, "csv")
         svdm_mean = [l for l in text.split("\n") if l.startswith("SVDM,Mean")][0]
         assert svdm_mean.split(",")[3] == "ERR"  # SMR column
@@ -334,6 +396,11 @@ class TestEmitTable:
     def test_unknown_format(self):
         with pytest.raises(ConfigError):
             emit_table(self._grid(), "html")
+
+    @pytest.mark.parametrize("format", ["csv", "console"])
+    def test_golden_bytes(self, format):
+        expected = GOLDEN_CSV if format == "csv" else GOLDEN_CONSOLE
+        assert emit_table(_golden_grid(), format) == expected
 
 
 class TestConfigParsing:
@@ -461,7 +528,7 @@ class TestConfigParsing:
 
 class TestResultValidation:
     def test_summarize(self):
-        result = summarize_trials([50.0, 60.0, 70.0], 1.0, True)
+        result = summarize_trials([50.0, 60.0, 70.0], True)
         assert result.mean == 60.0
         assert result.min == 50.0 and result.max == 70.0
         assert result.std == pytest.approx(10.0)
@@ -469,8 +536,7 @@ class TestResultValidation:
     def test_inconsistent_stats_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentResult(
-                mean=10.0, std=1.0, max=5.0, min=0.0, per_trial=(5.0,),
-                wall_time_s=0.1, solver_converged=True,
+                mean=10.0, std=1.0, max=5.0, min=0.0, per_trial=(5.0,), solver_converged=True,
             )
 
     def test_experiment_config_validation(self):

@@ -1,6 +1,8 @@
 """Coefficient solver tests: proximal operators, graph Laplacian, and the
 four solvers against their stationarity/feasibility oracles."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -441,6 +443,24 @@ class TestSSC:
         values = np.random.default_rng(2).standard_normal((4, 6))
         values[:, 2] = 0.0
         with pytest.raises(DataError):
+            solve_ssc(DataMatrix(values), default_solver_config("ssc"))
+
+    @pytest.mark.parametrize(
+        "zero, named",
+        [
+            ([2], "1 column(s) have zero norm, at index 2"),
+            ([0, 13], "2 column(s) have zero norm, at index 0, 13"),
+            (
+                range(1, 13),
+                "12 column(s) have zero norm, at index 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, ...",
+            ),
+        ],
+    )
+    def test_zero_column_message_names_the_columns(self, zero, named):
+        # normalize_columns leaves a zero column as it is, so the message names it
+        values = np.random.default_rng(2).standard_normal((4, 14))
+        values[:, list(zero)] = 0.0
+        with pytest.raises(DataError, match=f"^ssc requires nonzero columns; {re.escape(named)}$"):
             solve_ssc(DataMatrix(values), default_solver_config("ssc"))
 
     def test_report_error_norms(self):

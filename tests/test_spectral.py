@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+import subclust.spectral as spectral
 from subclust import (
     SyntheticSpec,
     cluster,
@@ -99,31 +100,31 @@ class TestEmbedding:
 class TestKMeans:
     def test_k_equals_n(self):
         pts = np.random.default_rng(2).standard_normal((6, 3))
-        labels = kmeans(pts, 6, seed=0)
+        labels = kmeans(pts, 6, [0])[0]
         assert sorted(labels.tolist()) == list(range(6))
 
     def test_separated_blobs(self):
         rng = np.random.default_rng(3)
         pts = np.vstack([rng.standard_normal((30, 2)), rng.standard_normal((30, 2)) + 100.0])
-        labels = kmeans(pts, 2, seed=7)
+        labels = kmeans(pts, 2, [7])[0]
         assert clustering_accuracy(labels, np.repeat([0, 1], 30)) == 100.0
 
     def test_deterministic(self):
         pts = np.random.default_rng(4).standard_normal((40, 3))
-        a = kmeans(pts, 4, seed=11)
-        b = kmeans(pts, 4, seed=11)
+        a = kmeans(pts, 4, [11])[0]
+        b = kmeans(pts, 4, [11])[0]
         assert np.array_equal(a, b)
 
     def test_seed_changes_runs(self):
         # different seeds explore different initializations on ambiguous data
         pts = np.random.default_rng(5).standard_normal((30, 2))
-        results = {tuple(kmeans(pts, 5, seed=s).tolist()) for s in range(8)}
+        results = {tuple(kmeans(pts, 5, [s])[0].tolist()) for s in range(8)}
         assert len(results) > 1
 
     def test_k_out_of_range(self):
         pts = np.zeros((4, 2))
         with pytest.raises(ConfigError):
-            kmeans(pts, 5, seed=0)
+            kmeans(pts, 5, [0])
 
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -131,7 +132,7 @@ class TestKMeans:
         pts = np.random.default_rng(6).standard_normal((8, 2))
         pts[3, 1] = bad
         with pytest.raises(DataError, match="non-finite"):
-            kmeans(pts, 2, seed=0)
+            kmeans(pts, 2, [0])
 
 
 def _ref_kmeans_plus_plus(points, k, rng):
@@ -244,7 +245,7 @@ class TestAgainstReferenceKMeans:
     @pytest.mark.parametrize("points, k", _REFERENCE_CASES)
     @pytest.mark.parametrize("seed", [0, 17])
     def test_same_labels(self, points, k, seed):
-        assert kmeans(points, k, seed).tobytes() == _ref_kmeans(points, k, seed).tobytes()
+        assert kmeans(points, k, [seed])[0].tobytes() == _ref_kmeans(points, k, seed).tobytes()
 
     @pytest.mark.parametrize("points, k", _REFERENCE_CASES)
     def test_batch_same_labels_per_seed(self, points, k):
@@ -253,6 +254,23 @@ class TestAgainstReferenceKMeans:
         for count in (1, 5, 10):
             batch = kmeans(points, k, seeds[:count])
             assert [labels.tobytes() for labels in batch] == refs[:count]
+
+    def test_seeds_beyond_one_batch_equal_one_seed_calls(self):
+        points = _unit_embedding(120, 6, 10)
+        seeds = list(range(200, 225))  # a batch of 20 seeds, then one of 5
+        singles = [kmeans(points, 6, [seed])[0].tobytes() for seed in seeds]
+        assert [labels.tobytes() for labels in kmeans(points, 6, seeds)] == singles
+
+    def test_batches_hold_at_most_twenty_seeds(self, monkeypatch):
+        chains = []
+
+        def counted(points, centers):
+            chains.append(len(centers))
+            return _lloyd(points, centers)
+
+        monkeypatch.setattr(spectral, "_lloyd", counted)
+        assert len(kmeans(_unit_embedding(40, 3, 11), 3, range(45))) == 45
+        assert chains == [200, 200, 50]  # 10 restarts per seed
 
     @pytest.mark.parametrize("points, k", _REFERENCE_CASES)
     def test_lloyd_same_labels_and_inertia(self, points, k):
