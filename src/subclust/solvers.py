@@ -178,14 +178,13 @@ def _thin_svd(Xv: np.ndarray):
     return s, Vt
 
 
-def _ridge_solver(Xv: np.ndarray, rho1: float, rho2: float):
-    """Return R -> (rho1 * X^T X + rho2 * I)^-1 R, from one thin SVD of X.
+def _ridge_solver(s: np.ndarray, Vt: np.ndarray, rho1: float, rho2: float):
+    """Return R -> (rho1 * X^T X + rho2 * I)^-1 R, from the thin SVD (s, Vt) of X.
 
     With X = U diag(s) Vt, the inverse is (I - Vt^T diag(g) Vt) / rho2 with
     g = rho1 s^2 / (rho1 s^2 + rho2), so each solve costs O(n^2 min(d, n))
     instead of the O(n^3) of an n x n factorization.
     """
-    s, Vt = _thin_svd(Xv)
     g = (rho1 * s**2 / (rho1 * s**2 + rho2))[:, None]
     return lambda R: (R - Vt.T @ (g * (Vt @ R))) / rho2
 
@@ -249,10 +248,11 @@ def solve_smr(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
     gain = lam_g / (lam_g + theta[None, :])
     C = Vt.T @ (gain * (Vt @ Q)) @ Q.T
 
-    R = cfg.lam * (G @ C) + C @ lap.L_hat - cfg.lam * G
+    CL = C @ lap.L_hat
+    R = cfg.lam * (G @ C) + CL - cfg.lam * G
     resid = np.max(np.abs(R)) / scale
     fit = X.values - X.values @ C
-    objective = float(cfg.lam * np.sum(fit * fit) + np.trace(C @ lap.L_hat @ C.T))
+    objective = float(cfg.lam * np.sum(fit * fit) + np.sum(CL * C))  # tr(C L_hat C^T)
     return _one_step(C, "smr", resid, objective, cfg)
 
 
@@ -289,7 +289,7 @@ def solve_ssc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
     rho1 = lambda_e  # penalty on the reconstruction constraint
     rho2 = cfg.lam
 
-    ridge = _ridge_solver(Xv, rho1, rho2)
+    ridge = _ridge_solver(*_thin_svd(Xv), rho1, rho2)
 
     A = np.zeros((n, n))  # quadratic-step coefficients, coupled to C
     C = np.zeros((n, n))
@@ -306,14 +306,17 @@ def solve_ssc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
         np.fill_diagonal(A, 0.0)
         C = soft_threshold(A + U2, 1.0 / rho2)
         np.fill_diagonal(C, 0.0)
-        XA = Xv @ A
-        E = soft_threshold(Xv - XA + U1, lambda_e / rho1)
-        U1 += Xv - XA - E
-        U2 += A - C
+        fit = Xv - Xv @ A
+        E = soft_threshold(fit + U1, lambda_e / rho1)
+        U1 += fit - E
+        leq2 = A - C
+        U2 += leq2
 
         history.append(float(np.abs(C).sum() + lambda_e * np.abs(E).sum()))
-        feas = float(np.max(np.abs(Xv - Xv @ C - E)))
-        gap = float(np.max(np.abs(A - C)))
+        gap = float(np.max(np.abs(leq2)))
+        # the convergence test needs feas only once gap meets tol; the report needs the last one
+        if gap <= cfg.tol or iterations == cfg.max_iter:
+            feas = float(np.max(np.abs(Xv - Xv @ C - E)))
         if feas <= cfg.tol and gap <= cfg.tol:
             converged = True
             break
@@ -329,25 +332,48 @@ def solve_ssc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
     return _result(C, "ssc", cfg, report)
 
 
-def solve_lrrsc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
-    """Low-rank symmetric self-expression by inexact augmented Lagrangian.
+def _shape_interaction(Xv: np.ndarray, s: np.ndarray, Vt: np.ndarray, cfg: SolverConfig, scale):
+    """V_r V_r^T when a KKT certificate proves it the LRRSC minimizer and it
+    meets tol, else None.
 
-    Minimizes ||C||_* + lam*||E||_{2,1} subject to X = XC + E and C = C^T.
-    The nuclear-norm block is symmetrized after every
-    singular-value-thresholding step and the returned C is hard-symmetrized,
-    so max|C - C^T| is exactly zero. Each iteration costs O(n^2 min(d, n))
-    (the C step goes through one thin SVD of X taken before the loop) plus
-    one n x n SVD when the thresholding does not return zero.
-    Non-convergence within max_iter returns converged=False, not an error.
+    r counts the singular values above s[0] * max(d, n) * eps, the rank cut
+    of numpy.linalg.matrix_rank. Y = U_r S_r^-1 V_r^T gives X^T Y = V_r V_r^T,
+    which lies in the nuclear-norm subdifferential at C = V_r V_r^T. When
+    every column of Y, that is of S_r^-1 V_r^T, has l2 norm below lam, Y
+    also lies in lam times the l2,1 subdifferential at E = 0. So
+    (V_r V_r^T, 0) meets the KKT conditions, and the strict inequality makes
+    it the unique minimizer (Liu et al., "Robust Recovery of Subspace
+    Structures by Low-Rank Representation", TPAMI 2013). It is symmetric, so
+    it also meets LRRSC's C = C^T. The certificate asks for norms at most
+    lam * (1 - 1e-3), a margin far above the rounding of the computed norms.
+    A near-zero s_r inflates S_r^-1, so a borderline rank fails it.
     """
-    Xv = X.values
+    r = int(np.sum(s > s[0] * max(Xv.shape) * np.finfo(np.float64).eps))
+    Vr = Vt[:r]
+    with np.errstate(over="ignore"):  # an overflowed norm fails the certificate
+        dual = np.linalg.norm(Vr / s[:r, None], axis=0)
+    if not np.all(dual <= cfg.lam * (1.0 - 1e-3)):
+        return None
+    C = Vr.T @ Vr
+    C = (C + C.T) / 2.0
+    if float(np.max(np.abs(Xv - Xv @ C))) / scale > cfg.tol:
+        return None
+    return C
+
+
+def _lrrsc_admm(Xv: np.ndarray, s: np.ndarray, Vt: np.ndarray, cfg: SolverConfig, scale):
+    """LRRSC by inexact augmented Lagrangian: (C, J, E, iterations, converged).
+
+    The nuclear-norm block J is symmetrized after every
+    singular-value-thresholding step. Each iteration costs O(n^2 min(d, n))
+    (the C step goes through the thin SVD (s, Vt) of X) plus one n x n SVD
+    when the thresholding does not return zero.
+    """
     d, n = Xv.shape
     mu = 1e-6
     mu_growth = 1.1
     mu_max = 1e10
-    scale = max(1.0, np.max(np.abs(Xv)))
-
-    ridge = _ridge_solver(Xv, 1.0, 1.0)
+    ridge = _ridge_solver(s, Vt, 1.0, 1.0)
 
     C = np.zeros((n, n))
     J = np.zeros((n, n))
@@ -355,7 +381,6 @@ def solve_lrrsc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
     Y1 = np.zeros((d, n))
     Y2 = np.zeros((n, n))
     converged = False
-    feas = gap = np.inf
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
         J = singular_value_threshold(C + Y2 / mu, 1.0 / mu)
@@ -378,6 +403,29 @@ def solve_lrrsc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
         Y1 += mu * leq1
         Y2 += mu * leq2
         mu = min(mu * mu_growth, mu_max)
+    return C, J, E, iterations, converged
+
+
+def solve_lrrsc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
+    """Low-rank symmetric self-expression.
+
+    Minimizes ||C||_* + lam*||E||_{2,1} subject to X = XC + E and C = C^T.
+    One thin SVD of X comes first. Where its KKT certificate holds, the
+    minimizer is the shape-interaction matrix V_r V_r^T with E = 0
+    (`_shape_interaction`), returned with iterations=1; otherwise an
+    inexact augmented Lagrangian solves it (`_lrrsc_admm`). The returned C
+    is hard-symmetrized, so max|C - C^T| is exactly zero. Non-convergence
+    within max_iter returns converged=False, not an error.
+    """
+    Xv = X.values
+    d, n = Xv.shape
+    scale = max(1.0, np.max(np.abs(Xv)))
+    s, Vt = _thin_svd(Xv)
+    C = _shape_interaction(Xv, s, Vt, cfg, scale)
+    if C is not None:
+        J, E, iterations, converged = C, np.zeros((d, n)), 1, True
+    else:
+        C, J, E, iterations, converged = _lrrsc_admm(Xv, s, Vt, cfg, scale)
 
     C = (C + C.T) / 2.0  # report the violation of the C actually returned
     feas = float(np.max(np.abs(Xv - Xv @ C - E))) / scale

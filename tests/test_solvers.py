@@ -72,6 +72,84 @@ def _smr_by_gram_eigh(Xv, lam, L_hat):
     return P @ (lam * g / (lam * g + theta[None, :]) * (P.T @ Q)) @ Q.T
 
 
+def _lrrsc_by_admm(X, cfg):
+    """Reference LRRSC: the inexact augmented Lagrangian alone, with no
+    closed-form step. The solver's fallback must give its C and report bit
+    for bit."""
+    Xv = X.values
+    d, n = Xv.shape
+    mu, mu_growth, mu_max = 1e-6, 1.1, 1e10
+    scale = max(1.0, np.max(np.abs(Xv)))
+    _, s, Vt = np.linalg.svd(Xv, full_matrices=False)
+    g = (s**2 / (s**2 + 1.0))[:, None]
+    C, J, E = np.zeros((n, n)), np.zeros((n, n)), np.zeros((d, n))
+    Y1, Y2 = np.zeros((d, n)), np.zeros((n, n))
+    converged = False
+    for iterations in range(1, cfg.max_iter + 1):
+        J = singular_value_threshold(C + Y2 / mu, 1.0 / mu)
+        J = (J + J.T) / 2.0
+        R = Xv.T @ (Xv - E + Y1 / mu) + J - Y2 / mu
+        C = R - Vt.T @ (g * (Vt @ R))
+        residual = Xv - Xv @ C
+        E = solvers._shrink_columns(residual + Y1 / mu, cfg.lam / mu)
+        leq1, leq2 = residual - E, C - J
+        if max(np.max(np.abs(leq1)), np.max(np.abs(leq2))) / scale <= cfg.tol:
+            C_sym = (C + C.T) / 2.0
+            feas = float(np.max(np.abs(Xv - Xv @ C_sym - E))) / scale
+            if feas <= cfg.tol and float(np.max(np.abs(C_sym - J))) / scale <= cfg.tol:
+                converged = True
+                break
+        Y1 += mu * leq1
+        Y2 += mu * leq2
+        mu = min(mu * mu_growth, mu_max)
+    C = (C + C.T) / 2.0
+    feas = float(np.max(np.abs(Xv - Xv @ C - E))) / scale
+    gap = float(np.max(np.abs(C - J))) / scale
+    e_l21 = float(np.sum(np.linalg.norm(E, axis=0)))
+    nuclear = float(np.sum(np.linalg.svd(C, compute_uv=False)))
+    report = solvers.SolverReport(
+        iterations, max(feas, gap), nuclear + cfg.lam * e_l21, converged, {"E_l21": e_l21}
+    )
+    return C, report
+
+
+def _ssc_by_full_passes(X, cfg):
+    """Reference SSC: the alternating directions with the constraint
+    violations taken at every iteration. The solver must give its C and
+    report bit for bit."""
+    Xv = X.values
+    d, n = Xv.shape
+    offdiag = np.abs(Xv.T @ Xv + (Xv.T @ Xv).T) / 2.0
+    np.fill_diagonal(offdiag, 0.0)
+    lambda_e = cfg.lam / float(offdiag.max(axis=0).min())
+    rho1, rho2 = lambda_e, cfg.lam
+    _, s, Vt = np.linalg.svd(Xv, full_matrices=False)
+    g = (rho1 * s**2 / (rho1 * s**2 + rho2))[:, None]
+    C, E, U1, U2 = np.zeros((n, n)), np.zeros((d, n)), np.zeros((d, n)), np.zeros((n, n))
+    history, converged = [], False
+    for iterations in range(1, cfg.max_iter + 1):
+        rhs = rho1 * (Xv.T @ (Xv - E + U1)) + rho2 * (C - U2)
+        A = (rhs - Vt.T @ (g * (Vt @ rhs))) / rho2
+        np.fill_diagonal(A, 0.0)
+        C = soft_threshold(A + U2, 1.0 / rho2)
+        np.fill_diagonal(C, 0.0)
+        XA = Xv @ A
+        E = soft_threshold(Xv - XA + U1, lambda_e / rho1)
+        U1 += Xv - XA - E
+        U2 += A - C
+        history.append(float(np.abs(C).sum() + lambda_e * np.abs(E).sum()))
+        feas = float(np.max(np.abs(Xv - Xv @ C - E)))
+        gap = float(np.max(np.abs(A - C)))
+        if feas <= cfg.tol and gap <= cfg.tol:
+            converged = True
+            break
+    report = solvers.SolverReport(
+        iterations, max(feas, gap), history[-1], converged,
+        {"E_l1": float(np.abs(E).sum())}, tuple(history),
+    )
+    return C, report
+
+
 def _offblock_ratio(C, labels):
     same = labels[:, None] == labels[None, :]
     mass = np.abs(C)
@@ -179,7 +257,7 @@ class TestRidgeSolver:
         n = Xv.shape[1]
         R = np.random.default_rng(6).standard_normal((n, n))
         expected = np.linalg.solve(rho1 * (Xv.T @ Xv) + rho2 * np.eye(n), R)
-        out = solvers._ridge_solver(Xv, rho1, rho2)(R)
+        out = solvers._ridge_solver(*solvers._thin_svd(Xv), rho1, rho2)(R)
         assert np.max(np.abs(out - expected)) <= 1e-10 * max(1.0, np.max(np.abs(expected)))
 
 
@@ -187,18 +265,27 @@ class TestAgainstCholeskyReference:
     """The solvers against the same iterations with an n x n Cholesky solve
     and an SVD at every thresholding."""
 
+    # lam = 0.5 fails lrrsc's closed-form certificate on this input (its
+    # largest column norm is 1.03), so the ADMM runs
     @pytest.mark.parametrize(
-        "solver_fn, name", [(solve_lrrsc, "lrrsc"), (solve_ssc, "ssc")], ids=["lrrsc", "ssc"]
+        "solver_fn, name, lam",
+        [(solve_lrrsc, "lrrsc", 0.5), (solve_ssc, "ssc", 20.0)],
+        ids=["lrrsc", "ssc"],
     )
-    def test_same_iterations_and_coefficients(self, monkeypatch, solver_fn, name):
+    def test_same_iterations_and_coefficients(self, monkeypatch, solver_fn, name, lam):
         spec = SyntheticSpec(3, 3, 40, 14, 0.05, seed=2)
         X = prepare_dataset(generate_synthetic(spec), pca_dim=12, normalize=True).matrix
-        cfg = default_solver_config(name)
+        cfg = default_solver_config(name, lam=lam)
         C = solver_fn(X, cfg)
+
+        def cholesky(s, Vt, rho1, rho2):
+            return _cholesky_ridge(X.values, rho1, rho2)
+
         with monkeypatch.context() as patch:
-            patch.setattr(solvers, "_ridge_solver", _cholesky_ridge)
+            patch.setattr(solvers, "_ridge_solver", cholesky)
             patch.setattr(solvers, "singular_value_threshold", _svt_by_svd)
             ref = solver_fn(X, cfg)
+        assert C.report.iterations > 1
         assert C.report.iterations == ref.report.iterations
         assert C.report.converged == ref.report.converged
         assert np.max(np.abs(C.values - ref.values)) <= 1e-10
@@ -383,6 +470,15 @@ class TestSMR:
             delta *= 1e-3 / np.linalg.norm(delta)
             assert base <= objective(C.values + delta) + 1e-12
 
+    @pytest.mark.parametrize("lam", [1.0, 100.0])
+    def test_objective_reported(self, lam):
+        X = _random_matrix(5, 6, 10)
+        C = solve_smr(X, default_solver_config("smr", lam=lam))
+        L_hat = build_knn_laplacian(X, 4, 0.01).L_hat
+        fit = X.values - X.values @ C.values
+        expected = lam * np.sum(fit * fit) + np.trace(C.values @ L_hat @ C.values.T)
+        assert C.report.objective == pytest.approx(expected, rel=1e-12)
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_fewer_than_five_points(self, n):
         # the graph takes every other point as a neighbor: k = min(4, n - 1)
@@ -438,6 +534,20 @@ class TestSSC:
         steps = np.diff(h[5:])
         assert np.all(steps <= 0.02 * np.abs(h[5:-1]) + 1e-12)
         assert h[-1] <= h[5]
+
+    @pytest.mark.parametrize(
+        "X, max_iter",
+        [
+            pytest.param(_random_matrix(1, 8, 25), 200, id="capped"),
+            pytest.param(_noiseless_instance().matrix, 5000, id="converging"),
+        ],
+    )
+    def test_matches_full_passes_bit_for_bit(self, X, max_iter):
+        cfg = default_solver_config("ssc", max_iter=max_iter)
+        C = solve_ssc(X, cfg)
+        ref, report = _ssc_by_full_passes(X, cfg)
+        assert C.values.tobytes() == ref.tobytes()
+        assert C.report == report
 
     def test_zero_column_rejected(self):
         values = np.random.default_rng(2).standard_normal((4, 6))
@@ -496,10 +606,12 @@ class TestSSC:
 
 
 class TestLRRSC:
+    # at lam = 2 these inputs take the closed form, at the smaller lam the ADMM
     def test_symmetry_exact(self):
         X = _random_matrix(0, 8, 12)
-        C = solve_lrrsc(X, default_solver_config("lrrsc"))
-        assert np.max(np.abs(C.values - C.values.T)) <= 1e-10
+        for lam in (2.0, 0.05):
+            C = solve_lrrsc(X, default_solver_config("lrrsc", lam=lam))
+            assert np.max(np.abs(C.values - C.values.T)) == 0.0
 
     @pytest.mark.parametrize("seed", range(5))
     def test_plug_back_feasibility(self, seed):
@@ -522,8 +634,91 @@ class TestLRRSC:
 
     def test_noiseless_recovers_block_structure(self):
         ds = _noiseless_instance()
-        C = solve_lrrsc(ds.matrix, default_solver_config("lrrsc"))
-        assert _offblock_ratio(C.values, ds.truth.labels) <= 0.05
+        for lam in (2.0, 0.5):
+            C = solve_lrrsc(ds.matrix, default_solver_config("lrrsc", lam=lam))
+            assert _offblock_ratio(C.values, ds.truth.labels) <= 0.05
+
+
+def _with_spectrum(s, n, seed=0):
+    """A d x n matrix with singular values s and random singular vectors."""
+    rng = np.random.default_rng(seed)
+    U = np.linalg.qr(rng.standard_normal((len(s), len(s))))[0]
+    V = np.linalg.qr(rng.standard_normal((n, len(s))))[0]
+    return DataMatrix((U * np.asarray(s)) @ V.T)
+
+
+# the 8 x 12 random inputs at seeds 0-2 have largest certificate column norms
+# 1.69, 1.40 and 1.70 and the noiseless one 0.61, below the default lam = 2
+_CERTIFIED = [pytest.param(_random_matrix(seed, 8, 12), id=f"random-{seed}") for seed in range(3)]
+_CERTIFIED.append(pytest.param(_noiseless_instance().matrix, id="noiseless"))
+
+
+class TestLRRSCClosedForm:
+    """V_r V_r^T where its KKT certificate holds; the ADMM, bit for bit, where not."""
+
+    @pytest.mark.parametrize("X", _CERTIFIED)
+    def test_satisfies_kkt_conditions(self, X):
+        cfg = default_solver_config("lrrsc")
+        C = solve_lrrsc(X, cfg)
+        assert C.report.iterations == 1 and C.report.converged
+        assert C.report.error_matrix_norms == {"E_l21": 0.0}
+        Xv, Cv = X.values, C.values
+        Y = np.linalg.pinv(Xv).T  # U_r S_r^-1 V_r^T
+        # primal feasibility with E = 0
+        assert np.max(np.abs(Xv - Xv @ Cv)) <= 1e-12
+        # C is an orthogonal projector, so its polar factor is C and
+        # X^T Y = C lies in the nuclear-norm subdifferential at C
+        assert np.max(np.abs(Cv @ Cv - Cv)) <= 1e-12
+        assert np.max(np.abs(Xv.T @ Y - Cv)) <= 1e-12
+        # Y lies in lam times the l2,1 subdifferential at E = 0
+        assert np.max(np.linalg.norm(Y, axis=0)) < cfg.lam
+        assert C.report.objective == pytest.approx(np.linalg.matrix_rank(Xv), rel=1e-12)
+
+    @pytest.mark.parametrize("X", _CERTIFIED)
+    def test_matches_a_long_admm_run(self, monkeypatch, X):
+        # measured: the ADMM stops within 1.6 * tol of V_r V_r^T on these inputs
+        C = solve_lrrsc(X, default_solver_config("lrrsc"))
+        cfg = default_solver_config("lrrsc", tol=1e-9, max_iter=5000)
+        monkeypatch.setattr(solvers, "_shape_interaction", lambda *args: None)
+        admm = solve_lrrsc(X, cfg)
+        assert admm.report.converged and admm.report.iterations > 1
+        assert np.max(np.abs(C.values - admm.values)) <= 10 * cfg.tol
+        assert C.report.objective == pytest.approx(admm.report.objective, rel=1e-6)
+
+    @pytest.mark.parametrize(
+        "X, lam",
+        [
+            pytest.param(_random_matrix(0, 8, 12), 1e-3, id="random-tiny-lam"),
+            pytest.param(_random_matrix(3, 8, 12), 2.0, id="random-default-lam"),
+            pytest.param(_noiseless_instance().matrix, 0.05, id="noiseless-small-lam"),
+        ],
+    )
+    def test_fallback_is_the_admm_bit_for_bit(self, X, lam):
+        cfg = default_solver_config("lrrsc", lam=lam)
+        C = solve_lrrsc(X, cfg)
+        ref, report = _lrrsc_by_admm(X, cfg)
+        assert C.report.iterations > 1
+        assert C.values.tobytes() == ref.tobytes()
+        assert C.report == report
+
+    def test_closed_form_that_misses_tol_falls_back(self):
+        # certified, but X - X V_r V_r^T rounds to about 1e-16, above this tol
+        X = _random_matrix(0, 8, 12)
+        cfg = default_solver_config("lrrsc", tol=1e-20, max_iter=3)
+        C = solve_lrrsc(X, cfg)
+        assert C.report.iterations == 3 and not C.report.converged
+
+    def test_singular_value_near_the_rank_cut(self):
+        # the cut is s[0] * max(d, n) * eps = 2.7e-15 here; a last singular
+        # value 100x above it inflates S_r^-1 and fails the certificate, one
+        # 100x below it is dropped from the rank
+        s = [1.0, 0.8, 0.6, 0.5, 0.4]
+        cut = 12 * np.finfo(np.float64).eps
+        above = solve_lrrsc(_with_spectrum(s + [100 * cut], 12), default_solver_config("lrrsc"))
+        assert above.report.iterations > 1
+        below = solve_lrrsc(_with_spectrum(s + [cut / 100], 12), default_solver_config("lrrsc"))
+        assert below.report.iterations == 1 and below.report.converged
+        assert below.report.objective == pytest.approx(5.0, rel=1e-12)
 
 
 class TestOffblockMass:
@@ -541,11 +736,20 @@ class TestDeterminism:
     """Same (X, config) gives the same C and report, bit for bit, in one process
     at one BLAS thread count (1 and 2 threads can round smr differently)."""
 
-    @pytest.mark.parametrize("name", solvers.SOLVERS)
-    def test_repeated_solve_is_bitwise_equal(self, name):
+    # lrrsc runs its ADMM at the default lam = 2 here (largest certificate
+    # column norm 3.13) and its closed form at lam = 4
+    @pytest.mark.parametrize(
+        "name, overrides",
+        [(name, {}) for name in solvers.SOLVERS] + [("lrrsc", {"lam": 4.0})],
+        ids=list(solvers.SOLVERS) + ["lrrsc-closed-form"],
+    )
+    def test_repeated_solve_is_bitwise_equal(self, name, overrides):
         spec = SyntheticSpec(3, 3, 20, 15, noise_sigma=0.05, seed=2)
         X = prepare_dataset(generate_synthetic(spec), normalize=True).matrix
-        first, second = (solvers.solve(name, X, default_solver_config(name)) for _ in range(2))
+        cfg = default_solver_config(name, **overrides)
+        first, second = (solvers.solve(name, X, cfg) for _ in range(2))
+        if name == "lrrsc":
+            assert (first.report.iterations == 1) == bool(overrides)
         assert first.values.tobytes() == second.values.tobytes()
         assert first.report == second.report
 
@@ -575,10 +779,27 @@ class TestExtremeDataScale:
         return DataMatrix(ds.matrix.values * scale)
 
     def test_lrrsc_names_the_overflowed_svt_input(self):
-        # the iterates overflow first (Xv - Xv @ C), and inf - inf makes NaNs
+        # lam = 1e-160 fails the closed-form certificate, so the ADMM runs; its
+        # iterates overflow first (Xv - Xv @ C), and inf - inf makes NaNs
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalError, match="SVT input overflowed.*data scale"):
-                solve_lrrsc(self._scaled(1e150), default_solver_config("lrrsc"))
+                solve_lrrsc(self._scaled(1e150), default_solver_config("lrrsc", lam=1e-160))
+
+    def test_lrrsc_closed_form_at_a_large_scale(self):
+        # S_r^-1 shrinks with the scale, so the certificate holds at the default
+        # lam, and V_r V_r^T is scale-free: the projector onto the row space of X
+        X = self._scaled(1e150)
+        C = solve_lrrsc(X, default_solver_config("lrrsc"))
+        assert C.report.iterations == 1 and C.report.converged
+        assert C.report.error_matrix_norms == {"E_l21": 0.0}
+        projector = np.linalg.pinv(X.values / 1e150) @ (X.values / 1e150)
+        assert np.max(np.abs(C.values - projector)) <= 1e-10
+
+    def test_lrrsc_certificate_overflow_is_quiet(self):
+        # S_r^-1 V_r^T overflows at this scale, which fails the certificate
+        # without a RuntimeWarning (the suite turns those into errors)
+        C = solve_lrrsc(self._scaled(1e-300), default_solver_config("lrrsc"))
+        assert C.report.converged
 
     def test_svt_of_a_finite_input_whose_norm_overflows(self):
         M = np.diag([1e200, 2e200, 3e200])
