@@ -68,11 +68,10 @@ class LabelVector:
 
 @dataclass(frozen=True)
 class Dataset:
-    """A data matrix with ground-truth labels and a preprocessing trail."""
+    """A data matrix with its ground-truth labels."""
 
     matrix: DataMatrix
     truth: LabelVector
-    preprocessing: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.matrix.n != len(self.truth):
@@ -268,13 +267,10 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
 
 
 def prepare_dataset(ds: Dataset, pca_dim: int | None = None, normalize: bool = True) -> Dataset:
-    """Apply the standard preprocessing pipeline, recording each step."""
+    """Apply the standard preprocessing pipeline: PCA, then column normalization."""
     matrix = ds.matrix
-    trail = list(ds.preprocessing)
     if pca_dim is not None:
         matrix = pca_project(matrix, pca_dim)
-        trail.append(f"pca:{pca_dim}")
     if normalize:
         matrix = normalize_columns(matrix)
-        trail.append("normalize_columns")
-    return replace(ds, matrix=matrix, preprocessing=tuple(trail))
+    return replace(ds, matrix=matrix)

@@ -354,13 +354,13 @@ def parse_experiment_config(obj: dict) -> ExperimentConfig:
 
 
 def load_experiment_config(path) -> ExperimentConfig:
-    """Parse an experiment config JSON file.
+    """Parse an experiment config JSON file, read as UTF-8 (RFC 8259) in any locale.
 
     A file json.load cannot read raises ConfigError: bad syntax or encoding,
     an integer of more digits than Python converts, nesting deeper than the
     recursion limit.
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
         except (ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError

@@ -54,8 +54,6 @@ class SolverReport:
     primal_residual: float
     objective: float
     converged: bool
-    error_matrix_norms: dict[str, float] | None = None
-    objective_history: tuple[float, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -64,7 +62,7 @@ class CoefficientMatrix:
 
     values: np.ndarray
     solver: str
-    report: SolverReport | None = None
+    report: SolverReport
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
@@ -296,7 +294,6 @@ def solve_ssc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
     E = np.zeros((d, n))
     U1 = np.zeros((d, n))  # scaled dual of X = XA + E
     U2 = np.zeros((n, n))  # scaled dual of A = C
-    history = []
     converged = False
     feas = gap = np.inf
     iterations = 0
@@ -311,8 +308,6 @@ def solve_ssc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
         U1 += fit - E
         leq2 = A - C
         U2 += leq2
-
-        history.append(float(np.abs(C).sum() + lambda_e * np.abs(E).sum()))
         gap = float(np.max(np.abs(leq2)))
         # the convergence test needs feas only once gap meets tol; the report needs the last one
         if gap <= cfg.tol or iterations == cfg.max_iter:
@@ -321,20 +316,15 @@ def solve_ssc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
             converged = True
             break
 
-    report = SolverReport(
-        iterations=iterations,
-        primal_residual=max(feas, gap),
-        objective=history[-1],
-        converged=converged,
-        error_matrix_norms={"E_l1": float(np.abs(E).sum())},
-        objective_history=tuple(history),
-    )
+    objective = float(np.abs(C).sum() + lambda_e * np.abs(E).sum())
+    report = SolverReport(iterations, max(feas, gap), objective, converged)
     return _result(C, "ssc", cfg, report)
 
 
 def _shape_interaction(Xv: np.ndarray, s: np.ndarray, Vt: np.ndarray, cfg: SolverConfig, scale):
-    """V_r V_r^T when a KKT certificate proves it the LRRSC minimizer and it
-    meets tol, else None.
+    """LRRSC's C = V_r V_r^T when a KKT certificate proves it the minimizer and
+    it meets tol, else None. It is reported as a closed-form solve whose
+    objective is r, the nuclear norm of a rank-r orthogonal projector at E = 0.
 
     r counts the singular values above s[0] * max(d, n) * eps, the rank cut
     of numpy.linalg.matrix_rank. Y = U_r S_r^-1 V_r^T gives X^T Y = V_r V_r^T,
@@ -356,9 +346,10 @@ def _shape_interaction(Xv: np.ndarray, s: np.ndarray, Vt: np.ndarray, cfg: Solve
         return None
     C = Vr.T @ Vr
     C = (C + C.T) / 2.0
-    if float(np.max(np.abs(Xv - Xv @ C))) / scale > cfg.tol:
+    resid = float(np.max(np.abs(Xv - Xv @ C))) / scale
+    if resid > cfg.tol:
         return None
-    return C
+    return _one_step(C, "lrrsc", resid, float(r), cfg)
 
 
 def _lrrsc_admm(Xv: np.ndarray, s: np.ndarray, Vt: np.ndarray, cfg: SolverConfig, scale):
@@ -412,33 +403,25 @@ def solve_lrrsc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
     Minimizes ||C||_* + lam*||E||_{2,1} subject to X = XC + E and C = C^T.
     One thin SVD of X comes first. Where its KKT certificate holds, the
     minimizer is the shape-interaction matrix V_r V_r^T with E = 0
-    (`_shape_interaction`), returned with iterations=1; otherwise an
-    inexact augmented Lagrangian solves it (`_lrrsc_admm`). The returned C
-    is hard-symmetrized, so max|C - C^T| is exactly zero. Non-convergence
-    within max_iter returns converged=False, not an error.
+    (`_shape_interaction`), returned with iterations=1 and objective r;
+    otherwise an inexact augmented Lagrangian solves it (`_lrrsc_admm`).
+    The returned C is hard-symmetrized, so max|C - C^T| is exactly zero.
+    Non-convergence within max_iter returns converged=False, not an error.
     """
     Xv = X.values
-    d, n = Xv.shape
     scale = max(1.0, np.max(np.abs(Xv)))
     s, Vt = _thin_svd(Xv)
-    C = _shape_interaction(Xv, s, Vt, cfg, scale)
-    if C is not None:
-        J, E, iterations, converged = C, np.zeros((d, n)), 1, True
-    else:
-        C, J, E, iterations, converged = _lrrsc_admm(Xv, s, Vt, cfg, scale)
+    closed_form = _shape_interaction(Xv, s, Vt, cfg, scale)
+    if closed_form is not None:
+        return closed_form
+    C, J, E, iterations, converged = _lrrsc_admm(Xv, s, Vt, cfg, scale)
 
     C = (C + C.T) / 2.0  # report the violation of the C actually returned
     feas = float(np.max(np.abs(Xv - Xv @ C - E))) / scale
     gap = float(np.max(np.abs(C - J))) / scale
     e_l21 = float(np.sum(np.linalg.norm(E, axis=0)))
     nuclear = float(np.sum(np.linalg.svd(C, compute_uv=False)))
-    report = SolverReport(
-        iterations=iterations,
-        primal_residual=max(feas, gap),
-        objective=nuclear + cfg.lam * e_l21,
-        converged=converged,
-        error_matrix_norms={"E_l21": e_l21},
-    )
+    report = SolverReport(iterations, max(feas, gap), nuclear + cfg.lam * e_l21, converged)
     return _result(C, "lrrsc", cfg, report)
 
 

@@ -114,12 +114,15 @@ def test_criterion_1_oracle_suite():
         # LRRSC: exact symmetry and relative feasibility at convergence
         for seed in range(5):
             X = _random_unit_columns(seed, 8, 12)
-            C = solve_lrrsc(X, default_solver_config("lrrsc"))
+            cfg = default_solver_config("lrrsc")
+            C = solve_lrrsc(X, cfg)
             assert np.max(np.abs(C.values - C.values.T)) <= 1e-10
             assert C.report.converged
             assert C.report.primal_residual <= 1e-4
+            # the objective's l2,1 term, (objective - ||C||_*) / lam, against the fit
             fit_l21 = np.sum(np.linalg.norm(X.values - X.values @ C.values, axis=0))
-            reported = C.report.error_matrix_norms["E_l21"]
+            nuclear = np.sum(np.linalg.svd(C.values, compute_uv=False))
+            reported = (C.report.objective - nuclear) / cfg.lam
             assert abs(fit_l21 - reported) <= 1e-3 * max(1.0, reported)
 
         # clustering accuracy equals the k! brute-force oracle exactly

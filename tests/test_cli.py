@@ -1,11 +1,15 @@
 """End-to-end CLI tests driven through main() with explicit argv."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import subclust
 import subclust.cli as cli
 import subclust.harness as harness
 from subclust.affinity import build_affinity
@@ -288,6 +292,26 @@ class TestRun:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"subclust: config error: invalid JSON in {path}")
+
+    def test_config_is_read_as_utf8_in_any_locale(self, tmp_path):
+        # JSON exchanged between systems is UTF-8 (RFC 8259), so a non-ASCII
+        # name reaches the name check under the C locale instead of failing to decode
+        cfg = {
+            "dataset": {"matrix_path": "m.csv", "labels_path": "m.labels"},
+            "solver": "lsr\u00e9", "affinity": "sm", "n_clusters": 2,
+        }
+        path = tmp_path / "cfg.json"
+        path.write_bytes(json.dumps(cfg, ensure_ascii=False).encode("utf-8"))
+        src = os.path.dirname(os.path.dirname(subclust.__file__))
+        env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+               "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "subclust.cli", "run", "--config", str(path)],
+            env=env, capture_output=True, text=True, encoding="utf-8", errors="replace",
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("subclust: config error: unknown solver")
 
     def test_missing_dataset_file_exits_two(self, tmp_path):
         cfg = {

@@ -11,6 +11,7 @@ from subclust import (
     ExperimentConfig,
     GridResult,
     PresetTable,
+    SolverReport,
     SyntheticSpec,
     build_affinity,
     build_knn_laplacian,
@@ -56,7 +57,11 @@ NAME_SITES = [
     ("solver", "pca", lambda tmp: PresetTable.builtin().solver_config("yaleb", "pca")),
     ("affinity", "knn", lambda tmp: PresetTable.builtin().cell("yaleb", "lsr", "knn")),
     ("table format", "html", lambda tmp: emit_table(GridResult({}, {}), "html")),
-    ("solver", "pca", lambda tmp: CoefficientMatrix(np.zeros((2, 2)), "pca")),
+    (
+        "solver",
+        "pca",
+        lambda tmp: CoefficientMatrix(np.zeros((2, 2)), "pca", SolverReport(1, 0.0, 0.0, True)),
+    ),
     ("solver", "pca", lambda tmp: solve("pca", _X(), default_solver_config("lsr"))),
 ]
 

@@ -107,16 +107,14 @@ def _lrrsc_by_admm(X, cfg):
     gap = float(np.max(np.abs(C - J))) / scale
     e_l21 = float(np.sum(np.linalg.norm(E, axis=0)))
     nuclear = float(np.sum(np.linalg.svd(C, compute_uv=False)))
-    report = solvers.SolverReport(
-        iterations, max(feas, gap), nuclear + cfg.lam * e_l21, converged, {"E_l21": e_l21}
-    )
+    report = solvers.SolverReport(iterations, max(feas, gap), nuclear + cfg.lam * e_l21, converged)
     return C, report
 
 
 def _ssc_by_full_passes(X, cfg):
     """Reference SSC: the alternating directions with the constraint
-    violations taken at every iteration. The solver must give its C and
-    report bit for bit."""
+    violations and the objective taken at every iteration. The solver must
+    give its C and report bit for bit. Returns (C, report, objectives)."""
     Xv = X.values
     d, n = Xv.shape
     offdiag = np.abs(Xv.T @ Xv + (Xv.T @ Xv).T) / 2.0
@@ -143,11 +141,8 @@ def _ssc_by_full_passes(X, cfg):
         if feas <= cfg.tol and gap <= cfg.tol:
             converged = True
             break
-    report = solvers.SolverReport(
-        iterations, max(feas, gap), history[-1], converged,
-        {"E_l1": float(np.abs(E).sum())}, tuple(history),
-    )
-    return C, report
+    report = solvers.SolverReport(iterations, max(feas, gap), history[-1], converged)
+    return C, report, history
 
 
 def _offblock_ratio(C, labels):
@@ -525,12 +520,18 @@ class TestSSC:
         [_noiseless_instance(11).matrix, _random_matrix(1, 8, 25)],
         ids=["noiseless", "random"],
     )
-    def test_objective_history_descends_with_bounded_transients(self, matrix):
+    def test_objective_descends_with_bounded_transients(self, matrix):
         # alternating-direction transients may bump the objective slightly;
-        # require overall descent and small per-step increases after warmup
-        C = solve_ssc(matrix, default_solver_config("ssc"))
-        h = np.array(C.report.objective_history)
-        assert len(h) == C.report.iterations
+        # require overall descent and small per-step increases after warmup.
+        # The reference gives every iterate's objective; a solve stopped at k
+        # iterations reports the k-th bit for bit
+        _, report, history = _ssc_by_full_passes(matrix, default_solver_config("ssc"))
+        h = np.array(history)
+        assert len(h) == report.iterations > 50
+        for k in (1, 5, 50, report.iterations):
+            C = solve_ssc(matrix, default_solver_config("ssc", max_iter=k))
+            assert C.report.iterations == k
+            assert C.report.objective == h[k - 1]
         steps = np.diff(h[5:])
         assert np.all(steps <= 0.02 * np.abs(h[5:-1]) + 1e-12)
         assert h[-1] <= h[5]
@@ -545,7 +546,7 @@ class TestSSC:
     def test_matches_full_passes_bit_for_bit(self, X, max_iter):
         cfg = default_solver_config("ssc", max_iter=max_iter)
         C = solve_ssc(X, cfg)
-        ref, report = _ssc_by_full_passes(X, cfg)
+        ref, report, _ = _ssc_by_full_passes(X, cfg)
         assert C.values.tobytes() == ref.tobytes()
         assert C.report == report
 
@@ -572,11 +573,6 @@ class TestSSC:
         values[:, list(zero)] = 0.0
         with pytest.raises(DataError, match=f"^ssc requires nonzero columns; {re.escape(named)}$"):
             solve_ssc(DataMatrix(values), default_solver_config("ssc"))
-
-    def test_report_error_norms(self):
-        X = _random_matrix(3, 6, 12)
-        C = solve_ssc(X, default_solver_config("ssc"))
-        assert set(C.report.error_matrix_norms) == {"E_l1"}
 
     def test_matches_linear_program_oracle(self):
         # the objective is an LP per column; compare against scipy's solver
@@ -616,14 +612,16 @@ class TestLRRSC:
     @pytest.mark.parametrize("seed", range(5))
     def test_plug_back_feasibility(self, seed):
         X = _random_matrix(seed, 8, 12)
-        C = solve_lrrsc(X, default_solver_config("lrrsc"))
+        cfg = default_solver_config("lrrsc")
+        C = solve_lrrsc(X, cfg)
         assert C.report.converged
-        # recover E from the report norms indirectly: refit the residual
-        E = X.values - X.values @ C.values
-        e_l21 = np.sum(np.linalg.norm(E, axis=0))
         assert C.report.primal_residual <= 1e-4
-        # the reported l2,1 norm corresponds to an E explaining the residual
-        assert abs(e_l21 - C.report.error_matrix_norms["E_l21"]) <= 1e-3 * max(1.0, e_l21)
+        # the objective's l2,1 term, (objective - ||C||_*) / lam, is that of
+        # an E explaining the residual X - XC
+        e_l21 = np.sum(np.linalg.norm(X.values - X.values @ C.values, axis=0))
+        nuclear = np.sum(np.linalg.svd(C.values, compute_uv=False))
+        reported = (C.report.objective - nuclear) / cfg.lam
+        assert abs(e_l21 - reported) <= 1e-3 * max(1.0, e_l21)
 
     def test_nuclear_norm_finite(self):
         X = _random_matrix(2, 6, 9)
@@ -637,6 +635,11 @@ class TestLRRSC:
         for lam in (2.0, 0.5):
             C = solve_lrrsc(ds.matrix, default_solver_config("lrrsc", lam=lam))
             assert _offblock_ratio(C.values, ds.truth.labels) <= 0.05
+
+
+def _ci_smoke_matrix():
+    spec = SyntheticSpec(3, 3, 20, 15, 0.05, seed=1)
+    return prepare_dataset(generate_synthetic(spec), normalize=True).matrix
 
 
 def _with_spectrum(s, n, seed=0):
@@ -657,12 +660,26 @@ class TestLRRSCClosedForm:
     """V_r V_r^T where its KKT certificate holds; the ADMM, bit for bit, where not."""
 
     @pytest.mark.parametrize("X", _CERTIFIED)
-    def test_satisfies_kkt_conditions(self, X):
+    def test_satisfies_kkt_conditions(self, monkeypatch, X):
         cfg = default_solver_config("lrrsc")
-        C = solve_lrrsc(X, cfg)
+        Xv = X.values
+        svd, shapes = np.linalg.svd, []
+
+        def spy(M, *args, **kwargs):
+            shapes.append((M.shape, kwargs.get("full_matrices")))
+            return svd(M, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers.np.linalg, "svd", spy)
+            C = solve_lrrsc(X, cfg)
+        # one SVD, the thin one of X: the report takes none of C
+        assert shapes == [(Xv.shape, False)]
+        Cv = C.values
         assert C.report.iterations == 1 and C.report.converged
-        assert C.report.error_matrix_norms == {"E_l21": 0.0}
-        Xv, Cv = X.values, C.values
+        # the objective is r exactly, the residual the one checked against tol
+        assert C.report.objective == float(np.linalg.matrix_rank(Xv))
+        scale = max(1.0, np.max(np.abs(Xv)))
+        assert C.report.primal_residual == np.max(np.abs(Xv - Xv @ Cv)) / scale
         Y = np.linalg.pinv(Xv).T  # U_r S_r^-1 V_r^T
         # primal feasibility with E = 0
         assert np.max(np.abs(Xv - Xv @ Cv)) <= 1e-12
@@ -672,7 +689,6 @@ class TestLRRSCClosedForm:
         assert np.max(np.abs(Xv.T @ Y - Cv)) <= 1e-12
         # Y lies in lam times the l2,1 subdifferential at E = 0
         assert np.max(np.linalg.norm(Y, axis=0)) < cfg.lam
-        assert C.report.objective == pytest.approx(np.linalg.matrix_rank(Xv), rel=1e-12)
 
     @pytest.mark.parametrize("X", _CERTIFIED)
     def test_matches_a_long_admm_run(self, monkeypatch, X):
@@ -691,6 +707,8 @@ class TestLRRSCClosedForm:
             pytest.param(_random_matrix(0, 8, 12), 1e-3, id="random-tiny-lam"),
             pytest.param(_random_matrix(3, 8, 12), 2.0, id="random-default-lam"),
             pytest.param(_noiseless_instance().matrix, 0.05, id="noiseless-small-lam"),
+            # the data of CI's CLI smoke: largest certificate column norm 2.90
+            pytest.param(_ci_smoke_matrix(), 2.0, id="ci-smoke-default-lam"),
         ],
     )
     def test_fallback_is_the_admm_bit_for_bit(self, X, lam):
@@ -791,7 +809,7 @@ class TestExtremeDataScale:
         X = self._scaled(1e150)
         C = solve_lrrsc(X, default_solver_config("lrrsc"))
         assert C.report.iterations == 1 and C.report.converged
-        assert C.report.error_matrix_norms == {"E_l21": 0.0}
+        assert C.report.objective == float(np.linalg.matrix_rank(X.values))
         projector = np.linalg.pinv(X.values / 1e150) @ (X.values / 1e150)
         assert np.max(np.abs(C.values - projector)) <= 1e-10
 
