@@ -46,7 +46,6 @@ from .harness import (
 from .solvers import (
     SOLVERS,
     CoefficientMatrix,
-    GraphLaplacian,
     SolverConfig,
     SolverReport,
     build_knn_laplacian,

@@ -133,8 +133,11 @@ class PresetTable:
         for name, block in table.items():
             if set(block) != {"pipeline", "solvers"}:
                 raise ConfigError(f"preset block {name!r} must have pipeline and solvers")
+            pipeline, solvers = block["pipeline"], block["solvers"]
+            _reject_unknown(pipeline, ("pca_dim", "n_clusters"), f"preset {name!r} pipeline")
+            _reject_unknown(solvers, SOLVER_COLUMNS, f"preset {name!r} solvers")
             for solver in SOLVER_COLUMNS:
-                entry = block["solvers"].get(solver)
+                entry = solvers.get(solver)
                 context = f"preset {name!r}/{solver!r}"
                 _reject_unknown(entry, ("lambda", *AFFINITY_ROWS), context)
                 if "lambda" not in entry:
@@ -241,8 +244,8 @@ def run_grid(
     records its error and the grid continues; any other exception is a bug
     and propagates.
     """
-    if presets is not None and preset_name is None:
-        raise ConfigError("preset_name is required when a PresetTable is supplied")
+    if (presets is None) != (preset_name is None):
+        raise ConfigError("presets and preset_name must be given together")
     k = n_clusters if n_clusters is not None else dataset.truth.k
     _check_run_parameters(k, trials, master_seed)
     require("n_clusters", k, int, at_least=2, at_most=dataset.matrix.n)

@@ -58,40 +58,10 @@ class SolverReport:
 
 @dataclass(frozen=True)
 class CoefficientMatrix:
-    """An n x n self-expression matrix produced by one of the solvers."""
+    """An n x n self-expression matrix and the report of the solve that built it."""
 
     values: np.ndarray
-    solver: str
     report: SolverReport
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise DataError(f"coefficient matrix must be square, got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise DataError("coefficient matrix contains non-finite entries")
-        require_one_of("solver", self.solver, SOLVERS)
-        if self.solver == "ssc" and np.any(np.diag(v) != 0.0):
-            raise DataError("ssc coefficient matrix must have an exactly zero diagonal")
-        if self.solver == "lrrsc" and np.max(np.abs(v - v.T)) > 1e-10:
-            raise DataError("lrrsc coefficient matrix must be symmetric to 1e-10")
-        object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True)
-class GraphLaplacian:
-    """Regularized kNN graph Laplacian L + epsilon*I with its ingredients."""
-
-    L_hat: np.ndarray
-    W_graph: np.ndarray
-    D_diag: np.ndarray
-
-    def __post_init__(self):
-        if np.max(np.abs(self.L_hat - self.L_hat.T)) > 1e-12:
-            raise NumericalError("regularized Laplacian is not symmetric")
-        L = np.diag(self.D_diag) - self.W_graph
-        if np.max(np.abs(L.sum(axis=1))) > 1e-10:
-            raise NumericalError("Laplacian rows do not sum to zero")
 
 
 def soft_threshold(v, tau: float):
@@ -145,12 +115,13 @@ def _shrink_columns(M: np.ndarray, tau: float) -> np.ndarray:
     return M * scale
 
 
-def build_knn_laplacian(X: DataMatrix, k_graph: int, epsilon: float) -> GraphLaplacian:
-    """Symmetrized 0/1 k-nearest-neighbor graph Laplacian, regularized by epsilon.
+def build_knn_laplacian(X: DataMatrix, k_graph: int, epsilon: float) -> np.ndarray:
+    """Symmetrized 0/1 k-nearest-neighbor graph Laplacian L + epsilon*I.
 
     An edge exists when either endpoint ranks the other among its k nearest
     under Euclidean distance. Points tied with the k-th distance are all
-    included, so coincident points are treated symmetrically.
+    included, so coincident points are treated symmetrically. W is 0/1, so
+    L is exactly symmetric and each row of L sums to exactly 0.
     """
     n = X.n
     require("k_graph", k_graph, int, at_least=1, at_most=n - 1)
@@ -162,9 +133,7 @@ def build_knn_laplacian(X: DataMatrix, k_graph: int, epsilon: float) -> GraphLap
     kth = np.partition(d2, k_graph - 1, axis=1)[:, [k_graph - 1]]
     W = d2 <= kth
     W = np.maximum(W, W.T).astype(np.float64)
-    deg = W.sum(axis=1)
-    L_hat = np.diag(deg + epsilon) - W
-    return GraphLaplacian(L_hat=L_hat, W_graph=W, D_diag=deg)
+    return np.diag(W.sum(axis=1) + epsilon) - W
 
 
 def _thin_svd(Xv: np.ndarray):
@@ -197,7 +166,7 @@ def _result(C, solver: str, cfg: SolverConfig, report: SolverReport) -> Coeffici
     solve, such as lam * s**2 or lam / mu_e at a lam near the float maximum."""
     if not np.all(np.isfinite(C)):
         raise NumericalError(f"{solver} produced non-finite coefficients at lam={cfg.lam!r}")
-    return CoefficientMatrix(values=C, solver=solver, report=report)
+    return CoefficientMatrix(values=C, report=report)
 
 
 def _one_step(C, solver: str, resid, objective: float, cfg: SolverConfig) -> CoefficientMatrix:
@@ -233,11 +202,11 @@ def solve_smr(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
     by eigendecomposing L_hat and taking the thin SVD of X; the null
     directions of X have zero gain.
     """
-    lap = build_knn_laplacian(X, min(4, X.n - 1), 0.01)
+    L_hat = build_knn_laplacian(X, min(4, X.n - 1), 0.01)
     G = _gram(X)
     scale = max(1.0, np.max(np.abs(G)))
     try:
-        theta, Q = np.linalg.eigh(lap.L_hat)
+        theta, Q = np.linalg.eigh(L_hat)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
     s, Vt = _thin_svd(X.values)
@@ -246,7 +215,7 @@ def solve_smr(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
     gain = lam_g / (lam_g + theta[None, :])
     C = Vt.T @ (gain * (Vt @ Q)) @ Q.T
 
-    CL = C @ lap.L_hat
+    CL = C @ L_hat
     R = cfg.lam * (G @ C) + CL - cfg.lam * G
     resid = np.max(np.abs(R)) / scale
     fit = X.values - X.values @ C

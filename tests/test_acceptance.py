@@ -98,8 +98,8 @@ def test_criterion_1_oracle_suite():
             cfg = default_solver_config("smr", lam=1.0)
             C = solve_smr(X, cfg)
             G = X.values.T @ X.values
-            lap = build_knn_laplacian(X, 4, 0.01)
-            resid = np.max(np.abs(cfg.lam * (G @ C.values) + C.values @ lap.L_hat - cfg.lam * G))
+            L_hat = build_knn_laplacian(X, 4, 0.01)
+            resid = np.max(np.abs(cfg.lam * (G @ C.values) + C.values @ L_hat - cfg.lam * G))
             assert resid <= 1e-6 * max(1.0, np.abs(G).max())
 
         # SSC: exact zero diagonal and feasibility at convergence

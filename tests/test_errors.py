@@ -6,12 +6,10 @@ import numpy as np
 import pytest
 
 from subclust import (
-    CoefficientMatrix,
     DataMatrix,
     ExperimentConfig,
     GridResult,
     PresetTable,
-    SolverReport,
     SyntheticSpec,
     build_affinity,
     build_knn_laplacian,
@@ -57,11 +55,6 @@ NAME_SITES = [
     ("solver", "pca", lambda tmp: PresetTable.builtin().solver_config("yaleb", "pca")),
     ("affinity", "knn", lambda tmp: PresetTable.builtin().cell("yaleb", "lsr", "knn")),
     ("table format", "html", lambda tmp: emit_table(GridResult({}, {}), "html")),
-    (
-        "solver",
-        "pca",
-        lambda tmp: CoefficientMatrix(np.zeros((2, 2)), "pca", SolverReport(1, 0.0, 0.0, True)),
-    ),
     ("solver", "pca", lambda tmp: solve("pca", _X(), default_solver_config("lsr"))),
 ]
 

@@ -153,6 +153,22 @@ class TestPresets:
         with pytest.raises(ConfigError, match="unknown key|must be an object"):
             PresetTable(raw)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda block: block.update(solvers=[]),
+            lambda block: block["solvers"].update(lrrcs={"lambda": 1.0}),
+            lambda block: block.update(pipeline=[]),
+            lambda block: block["pipeline"].update(pca_dims=30),
+        ],
+        ids=["solvers-not-object", "misspelt-solver", "pipeline-not-object", "misspelt-pipeline"],
+    )
+    def test_bad_pipeline_or_solvers_block_rejected(self, edit):
+        raw = json.loads(json.dumps(PresetTable.builtin().table))
+        edit(raw["yaleb"])
+        with pytest.raises(ConfigError, match="unknown key|must be an object"):
+            PresetTable(raw)
+
 
 class TestTrialSeeds:
     def test_deterministic_and_distinct(self):
@@ -259,8 +275,11 @@ class TestRunGrid:
 
     def test_preset_requires_name(self):
         ds = prepare_dataset(generate_synthetic(SMALL_SPEC), normalize=True)
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="given together"):
             run_grid(ds, PresetTable.builtin(), trials=1)
+        # a name without a table would silently run the default configs
+        with pytest.raises(ConfigError, match="given together"):
+            run_grid(ds, trials=1, preset_name="yaleb")
 
     @pytest.mark.parametrize(
         "trials, n_clusters, message",
