@@ -55,6 +55,7 @@ NAME_SITES = [
     ("solver", "pca", lambda tmp: PresetTable.builtin().solver_config("yaleb", "pca")),
     ("affinity", "knn", lambda tmp: PresetTable.builtin().cell("yaleb", "lsr", "knn")),
     ("table format", "html", lambda tmp: emit_table(GridResult({}, {}), "html")),
+    ("solver", "pca", lambda tmp: default_solver_config("pca")),
     ("solver", "pca", lambda tmp: solve("pca", _X(), default_solver_config("lsr"))),
 ]
 
