@@ -131,10 +131,15 @@ class PresetTable:
 
     def __init__(self, table: dict):
         for name, block in table.items():
+            _reject_unknown(block, ("pipeline", "solvers"), f"preset block {name!r}")
             if set(block) != {"pipeline", "solvers"}:
                 raise ConfigError(f"preset block {name!r} must have pipeline and solvers")
             pipeline, solvers = block["pipeline"], block["solvers"]
             _reject_unknown(pipeline, ("pca_dim", "n_clusters"), f"preset {name!r} pipeline")
+            if pipeline.get("pca_dim") is not None:
+                require(f"preset {name!r} pca_dim", pipeline["pca_dim"], int, at_least=1)
+            if "n_clusters" in pipeline:
+                require(f"preset {name!r} n_clusters", pipeline["n_clusters"], int, at_least=2)
             _reject_unknown(solvers, SOLVER_COLUMNS, f"preset {name!r} solvers")
             for solver in SOLVER_COLUMNS:
                 entry = solvers.get(solver)

@@ -137,12 +137,11 @@ def build_knn_laplacian(X: DataMatrix, k_graph: int, epsilon: float) -> np.ndarr
 
 
 def _thin_svd(Xv: np.ndarray):
-    """(s, Vt) of the thin SVD X = U diag(s) Vt; Vt is min(d, n) x n."""
+    """(U, s, Vt) of the thin SVD X = U diag(s) Vt; Vt is min(d, n) x n."""
     try:
-        _, s, Vt = np.linalg.svd(Xv, full_matrices=False)
+        return np.linalg.svd(Xv, full_matrices=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD of the data failed: {exc}") from exc
-    return s, Vt
 
 
 def _ridge_solver(s: np.ndarray, Vt: np.ndarray, rho1: float, rho2: float):
@@ -183,7 +182,7 @@ def solve_lsr(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
     """
     G = _gram(X)
     scale = max(1.0, np.max(np.abs(G)))
-    s, Vt = _thin_svd(X.values)
+    _, s, Vt = _thin_svd(X.values)
     C = (Vt.T * (s**2 / (s**2 + cfg.lam))) @ Vt
     resid = np.max(np.abs(G @ C + cfg.lam * C - G)) / scale
 
@@ -209,7 +208,7 @@ def solve_smr(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
         theta, Q = np.linalg.eigh(L_hat)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-    s, Vt = _thin_svd(X.values)
+    _, s, Vt = _thin_svd(X.values)
     # per Laplacian eigendirection: (lam*G + theta_i I)^-1 lam*G q_i, G = Vt^T diag(s^2) Vt
     lam_g = cfg.lam * s[:, None] ** 2
     gain = lam_g / (lam_g + theta[None, :])
@@ -229,9 +228,13 @@ def solve_ssc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
     Minimizes ||C||_1 + lambda_e*||E||_1 subject to X = XC + E and
     diag(C) = 0, with lambda_e = lam / mu_e, mu_e = min_i max_{j != i}
     |x_i^T x_j|. The zero diagonal is enforced by projection at every
-    iterate, so it holds exactly. Each iteration costs O(n^2 min(d, n)):
-    the quadratic step goes through one thin SVD of X taken before the loop.
-    Non-convergence within max_iter returns converged=False, not an error.
+    iterate, so it holds exactly. The quadratic step works in the row space
+    of X through one thin SVD X = U S Vt taken before the loop: each
+    iteration runs two n x r x n products, r = min(d, n), namely
+    Vt (C - U2) and Vt^T Z, and X A comes from the d x r x n product
+    U S (P + Z). X C is formed only for the convergence test, once A - C
+    meets tol, and at the last iteration. Non-convergence within max_iter
+    returns converged=False, not an error.
     """
     Xv = X.values
     d, n = Xv.shape
@@ -256,9 +259,10 @@ def solve_ssc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
     rho1 = lambda_e  # penalty on the reconstruction constraint
     rho2 = cfg.lam
 
-    ridge = _ridge_solver(*_thin_svd(Xv), rho1, rho2)
+    U, s, Vt = _thin_svd(Xv)
+    US = U * s
+    g = (rho1 * s**2 / (rho1 * s**2 + rho2))[:, None]
 
-    A = np.zeros((n, n))  # quadratic-step coefficients, coupled to C
     C = np.zeros((n, n))
     E = np.zeros((d, n))
     U1 = np.zeros((d, n))  # scaled dual of X = XA + E
@@ -267,12 +271,20 @@ def solve_ssc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
     feas = gap = np.inf
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
-        rhs = rho1 * (Xv.T @ (Xv - E + U1)) + rho2 * (C - U2)
-        A = ridge(rhs)
+        # A = (rho1 X^T X + rho2 I)^-1 (rho1 X^T (X - E + U1) + rho2 B) with B = C - U2,
+        # written as B + Vt^T Z through X^T = Vt^T (U S)^T and Vt Vt^T = I
+        B = C - U2
+        P = Vt @ B
+        Q = US.T @ (Xv - E + U1)
+        Z = (rho1 / rho2) * Q - g * (rho1 * Q + rho2 * P) / rho2
+        A = Vt.T @ Z  # quadratic-step coefficients, coupled to C
+        A += B
+        a = A.diagonal().copy()
         np.fill_diagonal(A, 0.0)
         C = soft_threshold(A + U2, 1.0 / rho2)
         np.fill_diagonal(C, 0.0)
-        fit = Xv - Xv @ A
+        # X A = U S Vt (B + Vt^T Z) minus the zeroed diagonal's columns
+        fit = Xv - (US @ (P + Z) - Xv * a)
         E = soft_threshold(fit + U1, lambda_e / rho1)
         U1 += fit - E
         leq2 = A - C
@@ -379,7 +391,7 @@ def solve_lrrsc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
     """
     Xv = X.values
     scale = max(1.0, np.max(np.abs(Xv)))
-    s, Vt = _thin_svd(Xv)
+    _, s, Vt = _thin_svd(Xv)
     closed_form = _shape_interaction(Xv, s, Vt, cfg, scale)
     if closed_form is not None:
         return closed_form

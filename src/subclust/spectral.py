@@ -64,16 +64,22 @@ def spectral_embed(W, n_clusters: int) -> np.ndarray:
 def _distance_table(points: np.ndarray, block_size: int = 1 << 16) -> np.ndarray:
     """Squared distances between all rows, built in blocks of about block_size values.
 
-    Row i is bitwise np.sum((points - points[i]) ** 2, axis=1): both reduce
-    the same contiguous length-d rows of differences.
+    Each block of rows is taken against the columns from its first row on,
+    and its part right of the diagonal block is mirrored below it. a - b is
+    exactly -(b - a), so the table is exactly symmetric. Row i is bitwise
+    np.sum((points - points[i]) ** 2, axis=1): both reduce the same
+    contiguous length-d rows of differences.
     """
     n, d = points.shape
     table = np.empty((n, n))
     step = max(1, block_size // max(1, n * d))
     for start in range(0, n, step):
-        diff = points[None, :, :] - points[start : start + step, None, :]
+        stop = min(start + step, n)
+        diff = points[None, start:, :] - points[start:stop, None, :]
         diff **= 2
-        table[start : start + step] = diff.sum(axis=2)
+        block = diff.sum(axis=2)
+        table[start:stop, start:] = block
+        table[stop:, start:stop] = block[:, stop - start :].T
     return table
 
 
@@ -99,6 +105,46 @@ def _seed_chains(table: np.ndarray, k: int, rngs) -> np.ndarray:
         # each row's searchsorted(cdf, u, side="right"), as the cdf is nondecreasing
         rows[drawn, j] = np.count_nonzero(cdf <= np.array(uniforms)[:, None], axis=1)
         closest = np.minimum(closest, table[rows[:, j]])
+    return rows
+
+
+def _seed_restarts(table: np.ndarray, k: int, rngs, restarts: int) -> np.ndarray:
+    """restarts k-means++ seedings per generator; returns (len(rngs), restarts, k) rows.
+
+    Equal, rows and generator states, to restarts calls of _seed_chains in
+    sequence. Each generator draws its restarts' streams up front, restart
+    by restart: integers(n), then k - 1 doubles. Then all chains step in
+    one lockstep pass. A chain whose closest sums to 0 would have drawn
+    integers(n) instead of a double there; its generator is rewound and
+    re-seeded by _seed_chains.
+    """
+    n = table.shape[0]
+    states = [rng.bit_generator.state for rng in rngs]
+    rows = np.empty((len(rngs), restarts, k), dtype=np.intp)
+    uniforms = np.empty((len(rngs), restarts, k - 1))
+    for rng, chain_rows, chain_uniforms in zip(rngs, rows, uniforms):
+        for r in range(restarts):
+            chain_rows[r, 0] = rng.integers(n)
+            chain_uniforms[r] = rng.random(k - 1)
+    chains = len(rngs) * restarts
+    flat, uniforms = rows.reshape(chains, k), uniforms.reshape(chains, k - 1)
+    closest = table[flat[:, 0]]
+    stalled = np.zeros(chains, dtype=bool)
+    for j in range(1, k):
+        totals = closest.sum(axis=1)
+        drawn = totals > 0
+        stalled |= ~drawn
+        cdf = np.cumsum(closest[drawn] / totals[drawn, None], axis=1)
+        cdf /= cdf[:, -1:]
+        flat[drawn, j] = np.count_nonzero(cdf <= uniforms[drawn, j - 1][:, None], axis=1)
+        flat[~drawn, j] = flat[~drawn, 0]  # a placeholder; the generator is redone below
+        closest = np.minimum(closest, table[flat[:, j]])
+    redo = np.flatnonzero(stalled.reshape(len(rngs), restarts).any(axis=1))
+    if len(redo):
+        again = [rngs[t] for t in redo]
+        for t, rng in zip(redo, again):
+            rng.bit_generator.state = states[t]
+        rows[redo] = np.stack([_seed_chains(table, k, again) for _ in range(restarts)], axis=1)
     return rows
 
 
@@ -166,10 +212,10 @@ _SEEDS_PER_BATCH = 20  # bounds a call's memory at any number of seeds
 def kmeans(points: np.ndarray, k: int, seeds: Sequence[int]) -> list[np.ndarray]:
     """k-means++ with 10 restarts per seed; returns each seed's best-inertia labels.
 
-    Seeds run in lockstep batches of 20: the k-means++ seedings draw from one
-    n x n squared-distance table, and the Lloyd steps of a batch's 200
-    restarts run as one stacked computation of about 200 * n * (k + d)
-    floats. Each restart runs at most 100 Lloyd steps. Each seed's labels are
+    Seeds run in lockstep batches of 20: the k-means++ seedings of a batch's
+    200 restarts draw from one n x n squared-distance table in one lockstep
+    pass, and their Lloyd steps run as one stacked computation of about
+    200 * n * (k + d) floats. Each restart runs at most 100 Lloyd steps. Each seed's labels are
     bitwise those of a call with that seed alone at the same BLAS thread
     count, which can change the rounding of the point-to-center distances.
     """
@@ -183,8 +229,8 @@ def kmeans(points: np.ndarray, k: int, seeds: Sequence[int]) -> list[np.ndarray]
     trials = []
     for start in range(0, len(seeds), _SEEDS_PER_BATCH):
         rngs = [np.random.default_rng(s) for s in seeds[start : start + _SEEDS_PER_BATCH]]
-        # chain t * 10 + r is restart r of trial t; restarts draw in sequence
-        rows = np.stack([_seed_chains(table, k, rngs) for _ in range(10)], axis=1)
+        # chain t * 10 + r is restart r of trial t
+        rows = _seed_restarts(table, k, rngs, 10)
         labels, inertia = _lloyd(points, points[rows.reshape(-1, k)])
         # the first restart of least inertia, as a strict < scan picks
         best = inertia.reshape(-1, 10).argmin(axis=1)

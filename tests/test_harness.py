@@ -156,17 +156,30 @@ class TestPresets:
     @pytest.mark.parametrize(
         "edit",
         [
-            lambda block: block.update(solvers=[]),
-            lambda block: block["solvers"].update(lrrcs={"lambda": 1.0}),
-            lambda block: block.update(pipeline=[]),
-            lambda block: block["pipeline"].update(pca_dims=30),
+            lambda raw: raw["yaleb"].update(solvers=[]),
+            lambda raw: raw["yaleb"]["solvers"].update(lrrcs={"lambda": 1.0}),
+            lambda raw: raw["yaleb"].update(pipeline=[]),
+            lambda raw: raw["yaleb"]["pipeline"].update(pca_dims=30),
+            lambda raw: raw.update(yaleb=["pipeline", "solvers"]),
+            lambda raw: raw.update(yaleb=5),
+            lambda raw: raw["yaleb"]["pipeline"].update(pca_dim="60"),
+            lambda raw: raw["yaleb"]["pipeline"].update(n_clusters=1),
         ],
-        ids=["solvers-not-object", "misspelt-solver", "pipeline-not-object", "misspelt-pipeline"],
+        ids=[
+            "solvers-not-object",
+            "misspelt-solver",
+            "pipeline-not-object",
+            "misspelt-pipeline",
+            "block-a-list",
+            "block-a-number",
+            "pca-dim-a-string",
+            "one-cluster",
+        ],
     )
     def test_bad_pipeline_or_solvers_block_rejected(self, edit):
         raw = json.loads(json.dumps(PresetTable.builtin().table))
-        edit(raw["yaleb"])
-        with pytest.raises(ConfigError, match="unknown key|must be an object"):
+        edit(raw)
+        with pytest.raises(ConfigError, match="unknown key|must be an object|wrong type|must be >="):
             PresetTable(raw)
 
 

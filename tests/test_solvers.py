@@ -112,27 +112,39 @@ def _lrrsc_by_admm(X, cfg):
     return C, report
 
 
-def _ssc_by_full_passes(X, cfg):
-    """Reference SSC: the alternating directions with the constraint
-    violations and the objective taken at every iteration. The solver must
-    give its C and report bit for bit. Returns (C, report, objectives)."""
-    Xv = X.values
-    d, n = Xv.shape
+def _ssc_lambda_e(Xv, lam):
+    """solve_ssc's error weight lam / mu_e."""
     offdiag = np.abs(Xv.T @ Xv + (Xv.T @ Xv).T) / 2.0
     np.fill_diagonal(offdiag, 0.0)
-    lambda_e = cfg.lam / float(offdiag.max(axis=0).min())
+    return lam / float(offdiag.max(axis=0).min())
+
+
+def _ssc_by_full_passes(X, cfg):
+    """Reference SSC: the alternating directions in the row space of X, with
+    the constraint violations and the objective taken at every iteration.
+    The solver must give its C and report bit for bit. Returns (C, report,
+    objectives)."""
+    Xv = X.values
+    d, n = Xv.shape
+    lambda_e = _ssc_lambda_e(Xv, cfg.lam)
     rho1, rho2 = lambda_e, cfg.lam
-    _, s, Vt = np.linalg.svd(Xv, full_matrices=False)
+    U, s, Vt = np.linalg.svd(Xv, full_matrices=False)
+    US = U * s
     g = (rho1 * s**2 / (rho1 * s**2 + rho2))[:, None]
     C, E, U1, U2 = np.zeros((n, n)), np.zeros((d, n)), np.zeros((d, n)), np.zeros((n, n))
     history, converged = [], False
     for iterations in range(1, cfg.max_iter + 1):
-        rhs = rho1 * (Xv.T @ (Xv - E + U1)) + rho2 * (C - U2)
-        A = (rhs - Vt.T @ (g * (Vt @ rhs))) / rho2
+        # A = B + Vt^T Z solves the quadratic step; X A = U S (P + Z) before diag(A) is zeroed
+        B = C - U2
+        P = Vt @ B
+        Q = US.T @ (Xv - E + U1)
+        Z = (rho1 / rho2) * Q - g * (rho1 * Q + rho2 * P) / rho2
+        A = B + Vt.T @ Z
+        a = np.diag(A).copy()
         np.fill_diagonal(A, 0.0)
         C = soft_threshold(A + U2, 1.0 / rho2)
         np.fill_diagonal(C, 0.0)
-        XA = Xv @ A
+        XA = US @ (P + Z) - Xv * a
         E = soft_threshold(Xv - XA + U1, lambda_e / rho1)
         U1 += Xv - XA - E
         U2 += A - C
@@ -144,6 +156,36 @@ def _ssc_by_full_passes(X, cfg):
             break
     report = solvers.SolverReport(iterations, max(feas, gap), history[-1], converged)
     return C, report, history
+
+
+def _ssc_four_gemm(X, cfg, ridge_solver=solvers._ridge_solver):
+    """Reference SSC as it was written before the row-space step: four
+    n x d x n products per iteration, the quadratic step through
+    ridge_solver(s, Vt, rho1, rho2). Returns (C, report)."""
+    Xv = X.values
+    d, n = Xv.shape
+    lambda_e = _ssc_lambda_e(Xv, cfg.lam)
+    rho1, rho2 = lambda_e, cfg.lam
+    _, s, Vt = np.linalg.svd(Xv, full_matrices=False)
+    ridge = ridge_solver(s, Vt, rho1, rho2)
+    C, E, U1, U2 = np.zeros((n, n)), np.zeros((d, n)), np.zeros((d, n)), np.zeros((n, n))
+    converged = False
+    for iterations in range(1, cfg.max_iter + 1):
+        A = ridge(rho1 * (Xv.T @ (Xv - E + U1)) + rho2 * (C - U2))
+        np.fill_diagonal(A, 0.0)
+        C = soft_threshold(A + U2, 1.0 / rho2)
+        np.fill_diagonal(C, 0.0)
+        fit = Xv - Xv @ A
+        E = soft_threshold(fit + U1, lambda_e / rho1)
+        U1 += fit - E
+        U2 += A - C
+        feas = float(np.max(np.abs(Xv - Xv @ C - E)))
+        gap = float(np.max(np.abs(A - C)))
+        if feas <= cfg.tol and gap <= cfg.tol:
+            converged = True
+            break
+    objective = float(np.abs(C).sum() + lambda_e * np.abs(E).sum())
+    return C, solvers.SolverReport(iterations, max(feas, gap), objective, converged)
 
 
 def _ssc_lp_optimum(Xv, lam):
@@ -272,7 +314,8 @@ class TestRidgeSolver:
         n = Xv.shape[1]
         R = np.random.default_rng(6).standard_normal((n, n))
         expected = np.linalg.solve(rho1 * (Xv.T @ Xv) + rho2 * np.eye(n), R)
-        out = solvers._ridge_solver(*solvers._thin_svd(Xv), rho1, rho2)(R)
+        _, s, Vt = solvers._thin_svd(Xv)
+        out = solvers._ridge_solver(s, Vt, rho1, rho2)(R)
         assert np.max(np.abs(out - expected)) <= 1e-10 * max(1.0, np.max(np.abs(expected)))
 
 
@@ -296,15 +339,19 @@ class TestAgainstCholeskyReference:
         def cholesky(s, Vt, rho1, rho2):
             return _cholesky_ridge(X.values, rho1, rho2)
 
-        with monkeypatch.context() as patch:
-            patch.setattr(solvers, "_ridge_solver", cholesky)
-            patch.setattr(solvers, "singular_value_threshold", _svt_by_svd)
-            ref = solver_fn(X, cfg)
+        if name == "ssc":  # ssc's row-space step takes no ridge solver; its old loop does
+            ref_values, ref_report = _ssc_four_gemm(X, cfg, cholesky)
+        else:
+            with monkeypatch.context() as patch:
+                patch.setattr(solvers, "_ridge_solver", cholesky)
+                patch.setattr(solvers, "singular_value_threshold", _svt_by_svd)
+                ref = solver_fn(X, cfg)
+            ref_values, ref_report = ref.values, ref.report
         assert C.report.iterations > 1
-        assert C.report.iterations == ref.report.iterations
-        assert C.report.converged == ref.report.converged
-        assert np.max(np.abs(C.values - ref.values)) <= 1e-10
-        assert C.report.objective == pytest.approx(ref.report.objective, rel=1e-10)
+        assert C.report.iterations == ref_report.iterations
+        assert C.report.converged == ref_report.converged
+        assert np.max(np.abs(C.values - ref_values)) <= 1e-10
+        assert C.report.objective == pytest.approx(ref_report.objective, rel=1e-10)
 
 
 class TestClosedFormsAgainstDenseReference:
@@ -554,19 +601,29 @@ class TestSSC:
         assert np.all(steps <= 0.02 * np.abs(h[5:-1]) + 1e-12)
         assert h[-1] <= h[5]
 
-    @pytest.mark.parametrize(
-        "X, max_iter",
-        [
-            pytest.param(_random_matrix(1, 8, 25), 200, id="capped"),
-            pytest.param(_noiseless_instance().matrix, 5000, id="converging"),
-        ],
-    )
+    _CAPPED_AND_CONVERGING = [
+        pytest.param(_random_matrix(1, 8, 25), 200, id="capped"),
+        pytest.param(_noiseless_instance().matrix, 5000, id="converging"),
+    ]
+
+    @pytest.mark.parametrize("X, max_iter", _CAPPED_AND_CONVERGING)
     def test_matches_full_passes_bit_for_bit(self, X, max_iter):
         cfg = default_solver_config("ssc", max_iter=max_iter)
         C = solve_ssc(X, cfg)
         ref, report, _ = _ssc_by_full_passes(X, cfg)
         assert C.values.tobytes() == ref.tobytes()
         assert C.report == report
+
+    @pytest.mark.parametrize("X, max_iter", _CAPPED_AND_CONVERGING)
+    def test_row_space_step_matches_four_gemm_loop(self, X, max_iter):
+        # Vt Vt^T is the identity only up to rounding, so the two loops part
+        # in the last bits and no further
+        cfg = default_solver_config("ssc", max_iter=max_iter)
+        C = solve_ssc(X, cfg)
+        ref, report = _ssc_four_gemm(X, cfg)
+        assert np.max(np.abs(C.values - ref)) <= 1e-12
+        assert (C.report.iterations, C.report.converged) == (report.iterations, report.converged)
+        assert C.report.objective == pytest.approx(report.objective, rel=1e-12)
 
     def test_zero_column_rejected(self):
         values = np.random.default_rng(2).standard_normal((4, 6))

@@ -18,7 +18,13 @@ from subclust import (
 )
 from subclust.affinity import build_sm
 from subclust.errors import ConfigError, DataError
-from subclust.spectral import _distance_table, _lloyd, _seed_chains, spectral_embed
+from subclust.spectral import (
+    _distance_table,
+    _lloyd,
+    _seed_chains,
+    _seed_restarts,
+    spectral_embed,
+)
 
 
 def _block_affinity(sizes, weights, rng=None, noise=0.0):
@@ -300,24 +306,68 @@ class TestDistanceTable:
         for i in range(n):
             assert table[i].tobytes() == np.sum((points - points[i]) ** 2, axis=1).tobytes()
 
+    @pytest.mark.parametrize("d", [1, 2, 8, 9, 20, 130])
+    @pytest.mark.parametrize("rows_per_block", [1, 5, 37])
+    def test_exactly_symmetric(self, d, rows_per_block):
+        # n is odd and 5 does not divide it, so blocks straddle the diagonal
+        n = 37
+        points = np.random.default_rng(d).standard_normal((n, d))
+        table = _distance_table(points, block_size=rows_per_block * n * d)
+        assert table.tobytes() == np.ascontiguousarray(table.T).tobytes()
+
 
 class TestKMeansPlusPlusDraw:
     """The lockstep seeding draws what rng.choice(n, p=closest / total) draws
     and leaves each generator in the state a seeding of its own does, so later
     restarts and trials see the same stream."""
 
-    @pytest.mark.parametrize("case", range(40))
-    def test_same_centers_and_generator_state(self, case):
+    @staticmethod
+    def _random_case(case):
+        """(points, k) of one of the 40 random cases; the rows are distinct."""
         rng = np.random.default_rng(case)
         n = int(rng.integers(2, 120))
         k = int(rng.integers(1, n + 1))
-        points = rng.standard_normal((n, int(rng.integers(1, 6))))  # distinct rows
+        return rng.standard_normal((n, int(rng.integers(1, 6)))), k
+
+    @pytest.mark.parametrize("case", range(40))
+    def test_same_centers_and_generator_state(self, case):
+        points, k = self._random_case(case)
         rngs = [np.random.default_rng(seed) for seed in range(5)]
         rows = _seed_chains(_distance_table(points), k, rngs)
         for seed, chain_rows, new_rng in zip(range(5), rows, rngs):
             ref_rng = np.random.default_rng(seed)
             assert points[chain_rows].tobytes() == _ref_kmeans_plus_plus(points, k, ref_rng).tobytes()
             assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @staticmethod
+    def _assert_restarts_match_sequential_calls(table, k, seeds):
+        """_seed_restarts against 10 _seed_chains calls in sequence, rows and
+        generator states included; returns the sequential rows."""
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        rows = _seed_restarts(table, k, rngs, 10)
+        ref_rngs = [np.random.default_rng(seed) for seed in seeds]
+        ref = np.stack([_seed_chains(table, k, ref_rngs) for _ in range(10)], axis=1)
+        assert rows.tobytes() == ref.tobytes()
+        for rng, ref_rng in zip(rngs, ref_rngs):
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+        return ref
+
+    @pytest.mark.parametrize("case", range(40))
+    def test_restarts_in_one_pass_equal_sequential_calls(self, case):
+        points, k = self._random_case(case)
+        self._assert_restarts_match_sequential_calls(_distance_table(points), k, range(5))
+
+    def test_restarts_mix_fast_and_rewound_generators(self):
+        # at k = 2 a restart whose first center is a middle point finds closest
+        # summing to 0, and its generator is rewound and seeded again in
+        # sequence; a generator whose 10 first centers all lie outside stays
+        # on the up-front draws
+        points, _ = _underflowing_duplicates(9)
+        table = _distance_table(points)
+        rows = self._assert_restarts_match_sequential_calls(table, 2, range(10, 20))
+        stalled = table[rows[:, :, 0]].sum(axis=2) == 0
+        assert np.any(~stalled.any(axis=1))  # generators on the fast path
+        assert np.any(~stalled[:, 0] & stalled[:, 1:].any(axis=1))  # rewound after restart 0
 
     def test_one_batch_mixes_both_draws(self):
         points, k = _underflowing_duplicates(9)
