@@ -144,15 +144,20 @@ def _thin_svd(Xv: np.ndarray):
         raise NumericalError(f"SVD of the data failed: {exc}") from exc
 
 
-def _ridge_solver(s: np.ndarray, Vt: np.ndarray, rho1: float, rho2: float):
-    """Return R -> (rho1 * X^T X + rho2 * I)^-1 R, from the thin SVD (s, Vt) of X.
+def _quadratic_step(B, M, US, Vt, g, rho1: float, rho2: float):
+    """(A, X A) for the ADMM quadratic step A = (rho1 X^T X + rho2 I)^-1 (rho1 X^T M + rho2 B).
 
-    With X = U diag(s) Vt, the inverse is (I - Vt^T diag(g) Vt) / rho2 with
-    g = rho1 s^2 / (rho1 s^2 + rho2), so each solve costs O(n^2 min(d, n))
-    instead of the O(n^3) of an n x n factorization.
+    With X = U S Vt thin and g = rho1 s^2 / (rho1 s^2 + rho2), the step is
+    A = B + Vt^T Z in the row space of X, through X^T = Vt^T (U S)^T and
+    Vt Vt^T = I. It runs two n x r x n products, r = min(d, n), namely
+    P = Vt B and Vt^T Z, and takes X A = U S (P + Z) at d x r x n.
     """
-    g = (rho1 * s**2 / (rho1 * s**2 + rho2))[:, None]
-    return lambda R: (R - Vt.T @ (g * (Vt @ R))) / rho2
+    P = Vt @ B
+    Q = US.T @ M
+    Z = (rho1 / rho2) * Q - g * (rho1 * Q + rho2 * P) / rho2
+    A = Vt.T @ Z
+    A += B
+    return A, US @ (P + Z)
 
 
 def _gram(X: DataMatrix) -> np.ndarray:
@@ -228,13 +233,11 @@ def solve_ssc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
     Minimizes ||C||_1 + lambda_e*||E||_1 subject to X = XC + E and
     diag(C) = 0, with lambda_e = lam / mu_e, mu_e = min_i max_{j != i}
     |x_i^T x_j|. The zero diagonal is enforced by projection at every
-    iterate, so it holds exactly. The quadratic step works in the row space
-    of X through one thin SVD X = U S Vt taken before the loop: each
-    iteration runs two n x r x n products, r = min(d, n), namely
-    Vt (C - U2) and Vt^T Z, and X A comes from the d x r x n product
-    U S (P + Z). X C is formed only for the convergence test, once A - C
-    meets tol, and at the last iteration. Non-convergence within max_iter
-    returns converged=False, not an error.
+    iterate, so it holds exactly. The quadratic step is `_quadratic_step`
+    on one thin SVD X = U S Vt taken before the loop, so each iteration
+    runs two n x r x n products, r = min(d, n). X C is formed only for the
+    convergence test, once A - C meets tol, and at the last iteration.
+    Non-convergence within max_iter returns converged=False, not an error.
     """
     Xv = X.values
     d, n = Xv.shape
@@ -268,23 +271,14 @@ def solve_ssc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
     U1 = np.zeros((d, n))  # scaled dual of X = XA + E
     U2 = np.zeros((n, n))  # scaled dual of A = C
     converged = False
-    feas = gap = np.inf
-    iterations = 0
+    feas = np.inf
     for iterations in range(1, cfg.max_iter + 1):
-        # A = (rho1 X^T X + rho2 I)^-1 (rho1 X^T (X - E + U1) + rho2 B) with B = C - U2,
-        # written as B + Vt^T Z through X^T = Vt^T (U S)^T and Vt Vt^T = I
-        B = C - U2
-        P = Vt @ B
-        Q = US.T @ (Xv - E + U1)
-        Z = (rho1 / rho2) * Q - g * (rho1 * Q + rho2 * P) / rho2
-        A = Vt.T @ Z  # quadratic-step coefficients, coupled to C
-        A += B
+        A, XA = _quadratic_step(C - U2, Xv - E + U1, US, Vt, g, rho1, rho2)
         a = A.diagonal().copy()
         np.fill_diagonal(A, 0.0)
         C = soft_threshold(A + U2, 1.0 / rho2)
         np.fill_diagonal(C, 0.0)
-        # X A = U S Vt (B + Vt^T Z) minus the zeroed diagonal's columns
-        fit = Xv - (US @ (P + Z) - Xv * a)
+        fit = Xv - (XA - Xv * a)  # X A minus the zeroed diagonal's columns
         E = soft_threshold(fit + U1, lambda_e / rho1)
         U1 += fit - E
         leq2 = A - C
@@ -333,39 +327,39 @@ def _shape_interaction(Xv: np.ndarray, s: np.ndarray, Vt: np.ndarray, cfg: Solve
     return _one_step(C, "lrrsc", resid, float(r), cfg)
 
 
-def _lrrsc_admm(Xv: np.ndarray, s: np.ndarray, Vt: np.ndarray, cfg: SolverConfig, scale):
-    """LRRSC by inexact augmented Lagrangian: (C, J, E, iterations, converged).
+def _lrrsc_admm(Xv: np.ndarray, U, s, Vt, cfg: SolverConfig, scale) -> CoefficientMatrix:
+    """LRRSC by inexact augmented Lagrangian, from the thin SVD X = U S Vt.
 
     The nuclear-norm block J is symmetrized after every
-    singular-value-thresholding step. Each iteration costs O(n^2 min(d, n))
-    (the C step goes through the thin SVD (s, Vt) of X) plus one n x n SVD
-    when the thresholding does not return zero.
+    singular-value-thresholding step. The C step is `_quadratic_step` at
+    rho1 = rho2 = 1: two n x r x n products, r = min(d, n), plus one n x n
+    SVD when the thresholding does not return zero. Once the plain test
+    passes, and at max_iter, the test is taken again on the symmetrized C
+    that is returned, and the report carries its violation.
     """
     d, n = Xv.shape
     mu = 1e-6
     mu_growth = 1.1
     mu_max = 1e10
-    ridge = _ridge_solver(s, Vt, 1.0, 1.0)
+    US = U * s
+    g = (s**2 / (s**2 + 1.0))[:, None]
 
     C = np.zeros((n, n))
-    J = np.zeros((n, n))
     E = np.zeros((d, n))
     Y1 = np.zeros((d, n))
     Y2 = np.zeros((n, n))
     converged = False
-    iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
         J = singular_value_threshold(C + Y2 / mu, 1.0 / mu)
         J = (J + J.T) / 2.0
-        C = ridge(Xv.T @ (Xv - E + Y1 / mu) + J - Y2 / mu)
-        residual = Xv - Xv @ C
+        C, XC = _quadratic_step(J - Y2 / mu, Xv - E + Y1 / mu, US, Vt, g, 1.0, 1.0)
+        residual = Xv - XC
         E = _shrink_columns(residual + Y1 / mu, cfg.lam / mu)
         leq1 = residual - E
         leq2 = C - J
         feas = float(np.max(np.abs(leq1))) / scale
         gap = float(np.max(np.abs(leq2))) / scale
-        if feas <= cfg.tol and gap <= cfg.tol:
-            # re-check against the symmetrized C actually returned
+        if (feas <= cfg.tol and gap <= cfg.tol) or iterations == cfg.max_iter:
             C_sym = (C + C.T) / 2.0
             feas = float(np.max(np.abs(Xv - Xv @ C_sym - E))) / scale
             gap = float(np.max(np.abs(C_sym - J))) / scale
@@ -375,7 +369,11 @@ def _lrrsc_admm(Xv: np.ndarray, s: np.ndarray, Vt: np.ndarray, cfg: SolverConfig
         Y1 += mu * leq1
         Y2 += mu * leq2
         mu = min(mu * mu_growth, mu_max)
-    return C, J, E, iterations, converged
+
+    e_l21 = float(np.sum(np.linalg.norm(E, axis=0)))
+    nuclear = float(np.sum(np.linalg.svd(C_sym, compute_uv=False)))
+    report = SolverReport(iterations, max(feas, gap), nuclear + cfg.lam * e_l21, converged)
+    return _result(C_sym, "lrrsc", cfg, report)
 
 
 def solve_lrrsc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
@@ -385,25 +383,18 @@ def solve_lrrsc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
     One thin SVD of X comes first. Where its KKT certificate holds, the
     minimizer is the shape-interaction matrix V_r V_r^T with E = 0
     (`_shape_interaction`), returned with iterations=1 and objective r;
-    otherwise an inexact augmented Lagrangian solves it (`_lrrsc_admm`).
-    The returned C is hard-symmetrized, so max|C - C^T| is exactly zero.
-    Non-convergence within max_iter returns converged=False, not an error.
+    otherwise an inexact augmented Lagrangian solves it (`_lrrsc_admm`)
+    on the same SVD. The returned C is hard-symmetrized, so max|C - C^T|
+    is exactly zero. Non-convergence within max_iter returns
+    converged=False, not an error.
     """
     Xv = X.values
     scale = max(1.0, np.max(np.abs(Xv)))
-    _, s, Vt = _thin_svd(Xv)
+    U, s, Vt = _thin_svd(Xv)
     closed_form = _shape_interaction(Xv, s, Vt, cfg, scale)
     if closed_form is not None:
         return closed_form
-    C, J, E, iterations, converged = _lrrsc_admm(Xv, s, Vt, cfg, scale)
-
-    C = (C + C.T) / 2.0  # report the violation of the C actually returned
-    feas = float(np.max(np.abs(Xv - Xv @ C - E))) / scale
-    gap = float(np.max(np.abs(C - J))) / scale
-    e_l21 = float(np.sum(np.linalg.norm(E, axis=0)))
-    nuclear = float(np.sum(np.linalg.svd(C, compute_uv=False)))
-    report = SolverReport(iterations, max(feas, gap), nuclear + cfg.lam * e_l21, converged)
-    return _result(C, "lrrsc", cfg, report)
+    return _lrrsc_admm(Xv, U, s, Vt, cfg, scale)
 
 
 # name -> (solve function, default SolverConfig fields)

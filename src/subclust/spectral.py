@@ -83,43 +83,18 @@ def _distance_table(points: np.ndarray, block_size: int = 1 << 16) -> np.ndarray
     return table
 
 
-def _seed_chains(table: np.ndarray, k: int, rngs) -> np.ndarray:
-    """One k-means++ seeding per generator, all in lockstep; returns (len(rngs), k) rows.
-
-    Each draw is that of rng.choice(n, p=closest / total), minus its
-    validation of p, or rng.integers(n) where all remaining points coincide
-    with a chosen center. So each generator is consumed and left as by a
-    seeding of its own.
-    """
-    n = table.shape[0]
-    rows = np.empty((len(rngs), k), dtype=np.intp)
-    rows[:, 0] = [rng.integers(n) for rng in rngs]
-    closest = table[rows[:, 0]]
-    for j in range(1, k):
-        totals = closest.sum(axis=1)
-        drawn = totals > 0
-        cdf = np.cumsum(closest[drawn] / totals[drawn, None], axis=1)
-        cdf /= cdf[:, -1:]
-        uniforms = [rng.random() for rng, draw in zip(rngs, drawn) if draw]
-        rows[~drawn, j] = [rng.integers(n) for rng, draw in zip(rngs, drawn) if not draw]
-        # each row's searchsorted(cdf, u, side="right"), as the cdf is nondecreasing
-        rows[drawn, j] = np.count_nonzero(cdf <= np.array(uniforms)[:, None], axis=1)
-        closest = np.minimum(closest, table[rows[:, j]])
-    return rows
-
-
 def _seed_restarts(table: np.ndarray, k: int, rngs, restarts: int) -> np.ndarray:
     """restarts k-means++ seedings per generator; returns (len(rngs), restarts, k) rows.
 
-    Equal, rows and generator states, to restarts calls of _seed_chains in
-    sequence. Each generator draws its restarts' streams up front, restart
-    by restart: integers(n), then k - 1 doubles. Then all chains step in
-    one lockstep pass. A chain whose closest sums to 0 would have drawn
-    integers(n) instead of a double there; its generator is rewound and
-    re-seeded by _seed_chains.
+    Each generator draws its restarts' streams up front, restart by restart:
+    integers(n) for the first center, then k - 1 doubles. Then all chains
+    step in one lockstep pass. Draw j with double u is that of
+    rng.choice(n, p=closest / total), minus its validation of p, or
+    floor(u * n) where closest sums to 0, that is where every point
+    coincides with a chosen center. u * n rounds below n for every double
+    u < 1, so that draw is uniform over the n points.
     """
     n = table.shape[0]
-    states = [rng.bit_generator.state for rng in rngs]
     rows = np.empty((len(rngs), restarts, k), dtype=np.intp)
     uniforms = np.empty((len(rngs), restarts, k - 1))
     for rng, chain_rows, chain_uniforms in zip(rngs, rows, uniforms):
@@ -129,22 +104,16 @@ def _seed_restarts(table: np.ndarray, k: int, rngs, restarts: int) -> np.ndarray
     chains = len(rngs) * restarts
     flat, uniforms = rows.reshape(chains, k), uniforms.reshape(chains, k - 1)
     closest = table[flat[:, 0]]
-    stalled = np.zeros(chains, dtype=bool)
     for j in range(1, k):
         totals = closest.sum(axis=1)
         drawn = totals > 0
-        stalled |= ~drawn
+        u = uniforms[:, j - 1]
         cdf = np.cumsum(closest[drawn] / totals[drawn, None], axis=1)
         cdf /= cdf[:, -1:]
-        flat[drawn, j] = np.count_nonzero(cdf <= uniforms[drawn, j - 1][:, None], axis=1)
-        flat[~drawn, j] = flat[~drawn, 0]  # a placeholder; the generator is redone below
+        # each row's searchsorted(cdf, u, side="right"), as the cdf is nondecreasing
+        flat[drawn, j] = np.count_nonzero(cdf <= u[drawn, None], axis=1)
+        flat[~drawn, j] = (u[~drawn] * n).astype(np.intp)
         closest = np.minimum(closest, table[flat[:, j]])
-    redo = np.flatnonzero(stalled.reshape(len(rngs), restarts).any(axis=1))
-    if len(redo):
-        again = [rngs[t] for t in redo]
-        for t, rng in zip(redo, again):
-            rng.bit_generator.state = states[t]
-        rows[redo] = np.stack([_seed_chains(table, k, again) for _ in range(restarts)], axis=1)
     return rows
 
 
@@ -218,13 +187,23 @@ def kmeans(points: np.ndarray, k: int, seeds: Sequence[int]) -> list[np.ndarray]
     200 * n * (k + d) floats. Each restart runs at most 100 Lloyd steps. Each seed's labels are
     bitwise those of a call with that seed alone at the same BLAS thread
     count, which can change the rounding of the point-to-center distances.
+    Points so large that n times 4 max|p|^2 overflows raise DataError
+    before any draw.
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
     if points.ndim != 2:
         raise ConfigError("points must be a 2-D array")
     if not np.all(np.isfinite(points)):
         raise DataError("points contain non-finite entries")
-    require("k", k, int, at_least=1, at_most=points.shape[0])
+    n = points.shape[0]
+    require("k", k, int, at_least=1, at_most=n)
+    # bounds every squared distance, Lloyd's norms - 2 p.c + |c|^2, and n-term sums of them
+    with np.errstate(over="ignore"):
+        reach = 4.0 * n * np.max(np.sum(points * points, axis=1))
+    if not np.isfinite(reach):
+        raise DataError(
+            f"points of scale {np.max(np.abs(points)):.3g} overflow their squared distances"
+        )
     table = _distance_table(points)
     trials = []
     for start in range(0, len(seeds), _SEEDS_PER_BATCH):

@@ -73,25 +73,44 @@ def _smr_by_gram_eigh(Xv, lam, L_hat):
     return P @ (lam * g / (lam * g + theta[None, :]) * (P.T @ Q)) @ Q.T
 
 
-def _lrrsc_by_admm(X, cfg):
+def _ridge_by_thin_svd(s, Vt, rho1, rho2):
+    """Reference ridge solve R -> (rho1 X^T X + rho2 I)^-1 R from the thin SVD
+    (s, Vt) of X, as both ADMMs took it before their row-space step."""
+    g = (rho1 * s**2 / (rho1 * s**2 + rho2))[:, None]
+    return lambda R: (R - Vt.T @ (g * (Vt @ R))) / rho2
+
+
+def _lrrsc_by_admm(X, cfg, ridge_solver=None, svt=singular_value_threshold):
     """Reference LRRSC: the inexact augmented Lagrangian alone, with no
-    closed-form step. The solver's fallback must give its C and report bit
-    for bit."""
+    closed-form step. With no ridge_solver the C step runs in the row space
+    of X, and the solver's fallback must give its C and report bit for bit.
+    A ridge_solver(s, Vt, 1, 1) gives the loop as written before that step:
+    C solves the ridge system of X^T (X - E + Y1/mu) + J - Y2/mu, and X C is
+    an n x d x n product. Returns (C, report)."""
     Xv = X.values
     d, n = Xv.shape
     mu, mu_growth, mu_max = 1e-6, 1.1, 1e10
     scale = max(1.0, np.max(np.abs(Xv)))
-    _, s, Vt = np.linalg.svd(Xv, full_matrices=False)
-    g = (s**2 / (s**2 + 1.0))[:, None]
+    U, s, Vt = np.linalg.svd(Xv, full_matrices=False)
+    US, g = U * s, (s**2 / (s**2 + 1.0))[:, None]
+    ridge = None if ridge_solver is None else ridge_solver(s, Vt, 1.0, 1.0)
     C, J, E = np.zeros((n, n)), np.zeros((n, n)), np.zeros((d, n))
     Y1, Y2 = np.zeros((d, n)), np.zeros((n, n))
     converged = False
     for iterations in range(1, cfg.max_iter + 1):
-        J = singular_value_threshold(C + Y2 / mu, 1.0 / mu)
+        J = svt(C + Y2 / mu, 1.0 / mu)
         J = (J + J.T) / 2.0
-        R = Xv.T @ (Xv - E + Y1 / mu) + J - Y2 / mu
-        C = R - Vt.T @ (g * (Vt @ R))
-        residual = Xv - Xv @ C
+        if ridge is None:
+            # C = B + Vt^T Z and X C = U S (P + Z), at rho1 = rho2 = 1
+            B = J - Y2 / mu
+            P = Vt @ B
+            Q = US.T @ (Xv - E + Y1 / mu)
+            Z = Q - g * (Q + P)
+            C, XC = B + Vt.T @ Z, US @ (P + Z)
+        else:
+            C = ridge(Xv.T @ (Xv - E + Y1 / mu) + J - Y2 / mu)
+            XC = Xv @ C
+        residual = Xv - XC
         E = solvers._shrink_columns(residual + Y1 / mu, cfg.lam / mu)
         leq1, leq2 = residual - E, C - J
         if max(np.max(np.abs(leq1)), np.max(np.abs(leq2))) / scale <= cfg.tol:
@@ -158,7 +177,7 @@ def _ssc_by_full_passes(X, cfg):
     return C, report, history
 
 
-def _ssc_four_gemm(X, cfg, ridge_solver=solvers._ridge_solver):
+def _ssc_four_gemm(X, cfg, ridge_solver=_ridge_by_thin_svd):
     """Reference SSC as it was written before the row-space step: four
     n x d x n products per iteration, the quadratic step through
     ridge_solver(s, Vt, rho1, rho2). Returns (C, report)."""
@@ -308,20 +327,28 @@ _SHAPED_INPUTS = [
 
 
 class TestRidgeSolver:
+    """The ADMMs' quadratic step against a dense solve of its ridge system."""
+
     @pytest.mark.parametrize("Xv", _SHAPED_INPUTS)
     @pytest.mark.parametrize("rho1, rho2", [(1.0, 1.0), (37.5, 20.0), (1e-3, 5.0)])
     def test_matches_dense_solve(self, Xv, rho1, rho2):
-        n = Xv.shape[1]
-        R = np.random.default_rng(6).standard_normal((n, n))
-        expected = np.linalg.solve(rho1 * (Xv.T @ Xv) + rho2 * np.eye(n), R)
-        _, s, Vt = solvers._thin_svd(Xv)
-        out = solvers._ridge_solver(s, Vt, rho1, rho2)(R)
-        assert np.max(np.abs(out - expected)) <= 1e-10 * max(1.0, np.max(np.abs(expected)))
+        d, n = Xv.shape
+        rng = np.random.default_rng(6)
+        B, M = rng.standard_normal((n, n)), rng.standard_normal((d, n))
+        expected = np.linalg.solve(
+            rho1 * (Xv.T @ Xv) + rho2 * np.eye(n), rho1 * (Xv.T @ M) + rho2 * B
+        )
+        U, s, Vt = solvers._thin_svd(Xv)
+        g = (rho1 * s**2 / (rho1 * s**2 + rho2))[:, None]
+        A, XA = solvers._quadratic_step(B, M, U * s, Vt, g, rho1, rho2)
+        assert np.max(np.abs(A - expected)) <= 1e-10 * max(1.0, np.max(np.abs(expected)))
+        X_expected = Xv @ expected
+        assert np.max(np.abs(XA - X_expected)) <= 1e-10 * max(1.0, np.max(np.abs(X_expected)))
 
 
 class TestAgainstCholeskyReference:
-    """The solvers against the same iterations with an n x n Cholesky solve
-    and an SVD at every thresholding."""
+    """The solvers against their loops as written before the row-space step,
+    with an n x n Cholesky solve and an SVD at every thresholding."""
 
     # lam = 0.5 fails lrrsc's closed-form certificate on this input (its
     # largest column norm is 1.03), so the ADMM runs
@@ -330,7 +357,7 @@ class TestAgainstCholeskyReference:
         [(solve_lrrsc, "lrrsc", 0.5), (solve_ssc, "ssc", 20.0)],
         ids=["lrrsc", "ssc"],
     )
-    def test_same_iterations_and_coefficients(self, monkeypatch, solver_fn, name, lam):
+    def test_same_iterations_and_coefficients(self, solver_fn, name, lam):
         spec = SyntheticSpec(3, 3, 40, 14, 0.05, seed=2)
         X = prepare_dataset(generate_synthetic(spec), pca_dim=12, normalize=True).matrix
         cfg = default_solver_config(name, lam=lam)
@@ -339,14 +366,10 @@ class TestAgainstCholeskyReference:
         def cholesky(s, Vt, rho1, rho2):
             return _cholesky_ridge(X.values, rho1, rho2)
 
-        if name == "ssc":  # ssc's row-space step takes no ridge solver; its old loop does
+        if name == "ssc":
             ref_values, ref_report = _ssc_four_gemm(X, cfg, cholesky)
         else:
-            with monkeypatch.context() as patch:
-                patch.setattr(solvers, "_ridge_solver", cholesky)
-                patch.setattr(solvers, "singular_value_threshold", _svt_by_svd)
-                ref = solver_fn(X, cfg)
-            ref_values, ref_report = ref.values, ref.report
+            ref_values, ref_report = _lrrsc_by_admm(X, cfg, cholesky, _svt_by_svd)
         assert C.report.iterations > 1
         assert C.report.iterations == ref_report.iterations
         assert C.report.converged == ref_report.converged
@@ -777,16 +800,15 @@ class TestLRRSCClosedForm:
         assert np.max(np.abs(C.values - admm.values)) <= 10 * cfg.tol
         assert C.report.objective == pytest.approx(admm.report.objective, rel=1e-6)
 
-    @pytest.mark.parametrize(
-        "X, lam",
-        [
-            pytest.param(_random_matrix(0, 8, 12), 1e-3, id="random-tiny-lam"),
-            pytest.param(_random_matrix(3, 8, 12), 2.0, id="random-default-lam"),
-            pytest.param(_noiseless_instance().matrix, 0.05, id="noiseless-small-lam"),
-            # the data of CI's CLI smoke: largest certificate column norm 2.90
-            pytest.param(_ci_smoke_matrix(), 2.0, id="ci-smoke-default-lam"),
-        ],
-    )
+    _FALLBACK_CASES = [
+        pytest.param(_random_matrix(0, 8, 12), 1e-3, id="random-tiny-lam"),
+        pytest.param(_random_matrix(3, 8, 12), 2.0, id="random-default-lam"),
+        pytest.param(_noiseless_instance().matrix, 0.05, id="noiseless-small-lam"),
+        # the data of CI's CLI smoke: largest certificate column norm 2.90
+        pytest.param(_ci_smoke_matrix(), 2.0, id="ci-smoke-default-lam"),
+    ]
+
+    @pytest.mark.parametrize("X, lam", _FALLBACK_CASES)
     def test_fallback_is_the_admm_bit_for_bit(self, X, lam):
         cfg = default_solver_config("lrrsc", lam=lam)
         C = solve_lrrsc(X, cfg)
@@ -794,6 +816,17 @@ class TestLRRSCClosedForm:
         assert C.report.iterations > 1
         assert C.values.tobytes() == ref.tobytes()
         assert C.report == report
+
+    @pytest.mark.parametrize("X, lam", _FALLBACK_CASES)
+    def test_fallback_matches_the_ridge_loop(self, X, lam):
+        # Vt Vt^T is the identity only up to rounding, so the row-space step
+        # and the ridge solve part in the last bits and no further
+        cfg = default_solver_config("lrrsc", lam=lam)
+        C = solve_lrrsc(X, cfg)
+        ref, report = _lrrsc_by_admm(X, cfg, _ridge_by_thin_svd)
+        assert np.max(np.abs(C.values - ref)) <= 1e-12
+        assert (C.report.iterations, C.report.converged) == (report.iterations, report.converged)
+        assert C.report.objective == pytest.approx(report.objective, rel=1e-12)
 
     def test_closed_form_that_misses_tol_falls_back(self):
         # certified, but X - X V_r V_r^T rounds to about 1e-16, above this tol
@@ -874,10 +907,21 @@ class TestExtremeDataScale:
 
     def test_lrrsc_names_the_overflowed_svt_input(self):
         # lam = 1e-160 fails the closed-form certificate, so the ADMM runs; its
-        # iterates overflow first (Xv - Xv @ C), and inf - inf makes NaNs
+        # quadratic step overflows first ((U S)^T X is about 1e310), and
+        # inf - inf makes NaNs
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NumericalError, match="SVT input overflowed.*data scale"):
-                solve_lrrsc(self._scaled(1e150), default_solver_config("lrrsc", lam=1e-160))
+                solve_lrrsc(self._scaled(1e155), default_solver_config("lrrsc", lam=1e-160))
+
+    def test_lrrsc_admm_at_a_large_scale(self):
+        # the row-space step forms no X^T X, so at 1e150 the ADMM stays finite.
+        # At lam = 1e-160 the minimizer is C = 0, E = X: lam ||X^T Y||_2 < 1
+        # for the unit columns Y of X puts 0 in the subdifferential
+        X = self._scaled(1e150)
+        C = solve_lrrsc(X, default_solver_config("lrrsc", lam=1e-160))
+        assert C.report.converged and not C.values.any()
+        e_l21 = np.sum(np.linalg.norm(X.values, axis=0))
+        assert C.report.objective == pytest.approx(1e-160 * e_l21, rel=1e-12)
 
     def test_lrrsc_closed_form_at_a_large_scale(self):
         # S_r^-1 shrinks with the scale, so the certificate holds at the default
@@ -903,7 +947,7 @@ class TestExtremeDataScale:
         assert np.allclose(out, np.diag([0.9e200, 1.9e200, 2.9e200]), rtol=1e-12, atol=0.0)
 
     def test_ssc_names_the_underflowed_mu_e(self):
-        # raised before the ridge solve, whose inf / inf is the first warning
+        # raised before the quadratic step, whose inf / inf is the first warning
         with pytest.raises(NumericalError, match="mu_e = .*e-32.*data scale is too small"):
             solve_ssc(self._scaled(1e-160), default_solver_config("ssc"))
 

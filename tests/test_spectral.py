@@ -1,6 +1,7 @@
 """Spectral embedding, k-means, and clustering accuracy tests."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -21,7 +22,6 @@ from subclust.errors import ConfigError, DataError
 from subclust.spectral import (
     _distance_table,
     _lloyd,
-    _seed_chains,
     _seed_restarts,
     spectral_embed,
 )
@@ -140,9 +140,20 @@ class TestKMeans:
         with pytest.raises(DataError, match="non-finite"):
             kmeans(pts, 2, [0])
 
+    def test_overflowing_squared_distances(self):
+        # at 1e155 the squared distances overflow, and the k-means++ cdf would
+        # turn NaN; at 1e150 every distance, total and inertia is finite
+        pts = np.random.default_rng(0).standard_normal((60, 3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=r"scale .*e\+155 overflow"):
+                kmeans(pts * 1e155, 4, range(5))
+            assert len(kmeans(pts * 1e150, 4, range(5))) == 5
+
 
 def _ref_kmeans_plus_plus(points, k, rng):
-    """k-means++ seeding as it was written first: rng.choice draws each center."""
+    """k-means++ seeding as it was written first: rng.choice draws each center,
+    or floor(u * n) of a double u where every point coincides with a center."""
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[int(rng.integers(n))]
@@ -152,7 +163,7 @@ def _ref_kmeans_plus_plus(points, k, rng):
         if total > 0:
             idx = int(rng.choice(n, p=closest / total))
         else:
-            idx = int(rng.integers(n))
+            idx = int(rng.random() * n)
         centers[j] = points[idx]
         closest = np.minimum(closest, np.sum((points - centers[j]) ** 2, axis=1))
     return centers
@@ -227,7 +238,7 @@ _REFERENCE_CASES = [
     pytest.param(_unit_embedding(320, 10, 2), 10, id="n320-k10"),
     pytest.param(_unit_embedding(320, 10, 3), 10, id="n320-k10-b"),
     # k above the 3 distinct points: once they are all centers, closest sums to
-    # 0 and the draw falls back to integers(n); a repeated center loses every
+    # 0 and the draw takes floor(u * n) of its double u; a repeated center loses every
     # argmin tie, so its cluster is empty and gets re-seeded
     pytest.param(*_duplicates(4), id="duplicates"),
     pytest.param(*_duplicates(5), id="duplicates-b"),
@@ -239,7 +250,8 @@ _REFERENCE_CASES = [
 
 def _seed_and_lloyd(points, k, seeds):
     """Each seed's restart as one chain of a lockstep seeding and Lloyd run."""
-    rows = _seed_chains(_distance_table(points), k, [np.random.default_rng(s) for s in seeds])
+    rngs = [np.random.default_rng(s) for s in seeds]
+    rows = _seed_restarts(_distance_table(points), k, rngs, 1)[:, 0]
     return _lloyd(points, points[rows])
 
 
@@ -333,49 +345,49 @@ class TestKMeansPlusPlusDraw:
     def test_same_centers_and_generator_state(self, case):
         points, k = self._random_case(case)
         rngs = [np.random.default_rng(seed) for seed in range(5)]
-        rows = _seed_chains(_distance_table(points), k, rngs)
+        rows = _seed_restarts(_distance_table(points), k, rngs, 1)[:, 0]
         for seed, chain_rows, new_rng in zip(range(5), rows, rngs):
             ref_rng = np.random.default_rng(seed)
             assert points[chain_rows].tobytes() == _ref_kmeans_plus_plus(points, k, ref_rng).tobytes()
             assert new_rng.bit_generator.state == ref_rng.bit_generator.state
 
-    @staticmethod
-    def _assert_restarts_match_sequential_calls(table, k, seeds):
-        """_seed_restarts against 10 _seed_chains calls in sequence, rows and
-        generator states included; returns the sequential rows."""
-        rngs = [np.random.default_rng(seed) for seed in seeds]
+    @pytest.mark.parametrize("case", range(40))
+    def test_restarts_in_one_pass_equal_sequential_calls(self, case):
+        # 10 restarts in one pass against 10 one-restart calls in sequence,
+        # rows and generator states included
+        points, k = self._random_case(case)
+        table = _distance_table(points)
+        rngs = [np.random.default_rng(seed) for seed in range(5)]
         rows = _seed_restarts(table, k, rngs, 10)
-        ref_rngs = [np.random.default_rng(seed) for seed in seeds]
-        ref = np.stack([_seed_chains(table, k, ref_rngs) for _ in range(10)], axis=1)
+        ref_rngs = [np.random.default_rng(seed) for seed in range(5)]
+        ref = np.concatenate([_seed_restarts(table, k, ref_rngs, 1) for _ in range(10)], axis=1)
         assert rows.tobytes() == ref.tobytes()
         for rng, ref_rng in zip(rngs, ref_rngs):
             assert rng.bit_generator.state == ref_rng.bit_generator.state
-        return ref
 
-    @pytest.mark.parametrize("case", range(40))
-    def test_restarts_in_one_pass_equal_sequential_calls(self, case):
-        points, k = self._random_case(case)
-        self._assert_restarts_match_sequential_calls(_distance_table(points), k, range(5))
-
-    def test_restarts_mix_fast_and_rewound_generators(self):
-        # at k = 2 a restart whose first center is a middle point finds closest
-        # summing to 0, and its generator is rewound and seeded again in
-        # sequence; a generator whose 10 first centers all lie outside stays
-        # on the up-front draws
+    @pytest.mark.parametrize("k", [2, 9])
+    def test_each_restart_draws_a_fixed_stream(self, k):
+        # on 3 positions whose neighbours' squared distance underflows, closest
+        # sums to 0 before some draws; a stalled chain takes floor(u * n) of
+        # its double, so every generator draws integers(n) and k - 1 doubles
+        # per restart, and each seed's labels do not depend on the others
         points, _ = _underflowing_duplicates(9)
+        n, seeds = len(points), list(range(10, 20))
         table = _distance_table(points)
-        rows = self._assert_restarts_match_sequential_calls(table, 2, range(10, 20))
-        stalled = table[rows[:, :, 0]].sum(axis=2) == 0
-        assert np.any(~stalled.any(axis=1))  # generators on the fast path
-        assert np.any(~stalled[:, 0] & stalled[:, 1:].any(axis=1))  # rewound after restart 0
-
-    def test_one_batch_mixes_both_draws(self):
-        points, k = _underflowing_duplicates(9)
-        table = _distance_table(points)
-        rows = _seed_chains(table, k, [np.random.default_rng(seed) for seed in range(10)])
+        rngs = [np.random.default_rng(seed) for seed in seeds]
+        rows = _seed_restarts(table, k, rngs, 10)
         # closest before draw j is the running minimum of the chosen rows
-        totals = np.minimum.accumulate(table[rows], axis=1).sum(axis=2)
-        assert np.any(totals[:, 0] == 0) and np.any(totals[:, 0] > 0)
+        totals = np.minimum.accumulate(table[rows], axis=2).sum(axis=3)[:, :, :-1]
+        assert np.any(totals == 0) and np.any(totals > 0)
+        for seed, rng in zip(seeds, rngs):
+            ref = np.random.default_rng(seed)
+            for _ in range(10):
+                ref.integers(n)
+                ref.random(k - 1)
+            assert rng.bit_generator.state == ref.bit_generator.state
+        batch = kmeans(points, k, seeds)
+        for seed, labels in zip(seeds, batch):
+            assert labels.tobytes() == kmeans(points, k, [seed])[0].tobytes()
 
 
 class TestCluster:
