@@ -50,9 +50,15 @@ class AffinityMatrix:
 
 
 def _coeff_values(C) -> np.ndarray:
+    """C's values; a raw array must be square and finite, as every solver's C is."""
     if isinstance(C, CoefficientMatrix):
         return C.values
-    return np.asarray(C, dtype=np.float64)
+    cv = np.asarray(C, dtype=np.float64)
+    if cv.ndim != 2 or cv.shape[0] != cv.shape[1]:
+        raise DataError(f"coefficient matrix must be square, got shape {cv.shape}")
+    if not np.all(np.isfinite(cv)):
+        raise DataError("coefficient matrix contains non-finite entries")
+    return cv
 
 
 def build_sm(C) -> AffinityMatrix:

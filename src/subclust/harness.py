@@ -130,6 +130,7 @@ class PresetTable:
     """
 
     def __init__(self, table: dict):
+        self._configs = {}  # (dataset, solver) -> (SolverConfig, {affinity: AffinityConfig})
         for name, block in table.items():
             _reject_unknown(block, ("pipeline", "solvers"), f"preset block {name!r}")
             if set(block) != {"pipeline", "solvers"}:
@@ -151,6 +152,13 @@ class PresetTable:
                     _reject_unknown(
                         entry.get(affinity, {}), _AFFINITY_CONFIG_KEYS, f"{context}/{affinity!r}"
                     )
+                try:  # a bad value fails here, not in run_grid after other solvers' cells
+                    self._configs[name, solver] = (
+                        default_solver_config(solver, lam=entry["lambda"]),
+                        {a: AffinityConfig(**entry.get(a, {})) for a in AFFINITY_ROWS},
+                    )
+                except ConfigError as exc:
+                    raise ConfigError(f"{context}: {exc}") from None
         self.table = table
 
     @classmethod
@@ -176,13 +184,16 @@ class PresetTable:
         raw = self._entry(dataset, solver)
         return {"lambda": raw["lambda"], **raw.get(affinity, {})}
 
+    def _kept(self, dataset: str, solver: str):
+        require_one_of("preset dataset", dataset, self.table)
+        return self._configs[dataset, require_one_of("solver", solver, SOLVER_COLUMNS)]
+
     def solver_config(self, dataset: str, solver: str) -> SolverConfig:
-        return default_solver_config(solver, lam=self._entry(dataset, solver)["lambda"])
+        return self._kept(dataset, solver)[0]
 
     def affinity_config(self, dataset: str, solver: str, affinity: str) -> AffinityConfig:
-        params = self.cell(dataset, solver, affinity)
-        del params["lambda"]  # the solver's; k_top and alpha are AffinityConfig fields
-        return AffinityConfig(**params)
+        require_one_of("affinity", affinity, AFFINITY_ROWS)
+        return self._kept(dataset, solver)[1][affinity]
 
 
 def materialize_dataset(source: DatasetFiles | SyntheticSpec) -> Dataset:

@@ -13,6 +13,7 @@ from collections.abc import Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.spatial.distance import pdist, squareform
 
 from .affinity import AffinityMatrix
 from .data import LabelVector, canonical_signs
@@ -59,28 +60,6 @@ def spectral_embed(W, n_clusters: int) -> np.ndarray:
     embedding = top / safe[:, None]
     embedding[isolated, :] = 0.0
     return embedding
-
-
-def _distance_table(points: np.ndarray, block_size: int = 1 << 16) -> np.ndarray:
-    """Squared distances between all rows, built in blocks of about block_size values.
-
-    Each block of rows is taken against the columns from its first row on,
-    and its part right of the diagonal block is mirrored below it. a - b is
-    exactly -(b - a), so the table is exactly symmetric. Row i is bitwise
-    np.sum((points - points[i]) ** 2, axis=1): both reduce the same
-    contiguous length-d rows of differences.
-    """
-    n, d = points.shape
-    table = np.empty((n, n))
-    step = max(1, block_size // max(1, n * d))
-    for start in range(0, n, step):
-        stop = min(start + step, n)
-        diff = points[None, start:, :] - points[start:stop, None, :]
-        diff **= 2
-        block = diff.sum(axis=2)
-        table[start:stop, start:] = block
-        table[stop:, start:stop] = block[:, stop - start :].T
-    return table
 
 
 def _seed_restarts(table: np.ndarray, k: int, rngs, restarts: int) -> np.ndarray:
@@ -181,14 +160,14 @@ _SEEDS_PER_BATCH = 20  # bounds a call's memory at any number of seeds
 def kmeans(points: np.ndarray, k: int, seeds: Sequence[int]) -> list[np.ndarray]:
     """k-means++ with 10 restarts per seed; returns each seed's best-inertia labels.
 
-    Seeds run in lockstep batches of 20: the k-means++ seedings of a batch's
-    200 restarts draw from one n x n squared-distance table in one lockstep
-    pass, and their Lloyd steps run as one stacked computation of about
-    200 * n * (k + d) floats. Each restart runs at most 100 Lloyd steps. Each seed's labels are
-    bitwise those of a call with that seed alone at the same BLAS thread
-    count, which can change the rounding of the point-to-center distances.
-    Points so large that n times 4 max|p|^2 overflows raise DataError
-    before any draw.
+    The seedings draw from squareform(pdist(points, "sqeuclidean")), the
+    exact table smr's kNN graph takes. Seeds run in lockstep batches of 20:
+    the seedings of a batch's 200 restarts take one pass over the table,
+    and their Lloyd steps run as one stacked computation of about
+    200 * n * (k + d) floats, at most 100 steps each. Each seed's labels
+    are bitwise those of a call with that seed alone at the same BLAS
+    thread count. A seed that is not an int >= 0, and points so large that
+    n times 4 max|p|^2 overflows, raise before any draw.
     """
     points = np.ascontiguousarray(points, dtype=np.float64)
     if points.ndim != 2:
@@ -197,6 +176,8 @@ def kmeans(points: np.ndarray, k: int, seeds: Sequence[int]) -> list[np.ndarray]
         raise DataError("points contain non-finite entries")
     n = points.shape[0]
     require("k", k, int, at_least=1, at_most=n)
+    for seed in seeds:
+        require("seed", seed, int, at_least=0)
     # bounds every squared distance, Lloyd's norms - 2 p.c + |c|^2, and n-term sums of them
     with np.errstate(over="ignore"):
         reach = 4.0 * n * np.max(np.sum(points * points, axis=1))
@@ -204,7 +185,7 @@ def kmeans(points: np.ndarray, k: int, seeds: Sequence[int]) -> list[np.ndarray]
         raise DataError(
             f"points of scale {np.max(np.abs(points)):.3g} overflow their squared distances"
         )
-    table = _distance_table(points)
+    table = squareform(pdist(points, "sqeuclidean"))
     trials = []
     for start in range(0, len(seeds), _SEEDS_PER_BATCH):
         rngs = [np.random.default_rng(s) for s in seeds[start : start + _SEEDS_PER_BATCH]]

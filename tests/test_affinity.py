@@ -178,6 +178,21 @@ class TestSharedProperties:
         with pytest.raises(ConfigError):
             build_affinity("heat", _random_coeff(22), None, AffinityConfig())
 
+    @pytest.mark.parametrize("method", ["sm", "ssm", "svdm", "ipm"])
+    @pytest.mark.parametrize(
+        "C, message",
+        [
+            pytest.param(np.ones((3, 4)), r"square, got shape \(3, 4\)", id="non-square"),
+            pytest.param(
+                np.where(np.eye(4) > 0, 1.0, np.nan), "coefficient matrix contains non-finite", id="nan"
+            ),
+        ],
+    )
+    def test_raw_coefficients_checked(self, method, C, message):
+        X = normalize_columns(DataMatrix(np.random.default_rng(25).standard_normal((3, 4))))
+        with pytest.raises(DataError, match=message):
+            build_affinity(method, C, X, AffinityConfig(k_top=2))
+
     def test_names_come_from_the_builder_table(self):
         assert AFFINITIES == tuple(_AFFINITIES) == ("sm", "ssm", "svdm", "ipm")
         C = _random_coeff(23, n=6)

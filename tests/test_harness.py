@@ -164,6 +164,9 @@ class TestPresets:
             lambda raw: raw.update(yaleb=5),
             lambda raw: raw["yaleb"]["pipeline"].update(pca_dim="60"),
             lambda raw: raw["yaleb"]["pipeline"].update(n_clusters=1),
+            lambda raw: raw["yaleb"]["solvers"]["lrrsc"].update({"lambda": "0.2"}),
+            lambda raw: raw["yaleb"]["solvers"]["ssc"]["svdm"].update(alpha=0.0),
+            lambda raw: raw["yaleb"]["solvers"]["lrrsc"]["ssm"].update(k_top=0),
         ],
         ids=[
             "solvers-not-object",
@@ -174,12 +177,15 @@ class TestPresets:
             "block-a-number",
             "pca-dim-a-string",
             "one-cluster",
+            "lambda-a-string",
+            "alpha-not-positive",
+            "k-top-zero",
         ],
     )
     def test_bad_pipeline_or_solvers_block_rejected(self, edit):
         raw = json.loads(json.dumps(PresetTable.builtin().table))
         edit(raw)
-        with pytest.raises(ConfigError, match="unknown key|must be an object|wrong type|must be >="):
+        with pytest.raises(ConfigError, match="unknown key|must be an object|wrong type|must be >"):
             PresetTable(raw)
 
 

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist, squareform
 
 import subclust.spectral as spectral
 from subclust import (
@@ -19,12 +20,7 @@ from subclust import (
 )
 from subclust.affinity import build_sm
 from subclust.errors import ConfigError, DataError
-from subclust.spectral import (
-    _distance_table,
-    _lloyd,
-    _seed_restarts,
-    spectral_embed,
-)
+from subclust.spectral import _lloyd, _seed_restarts, spectral_embed
 
 
 def _block_affinity(sizes, weights, rng=None, noise=0.0):
@@ -50,6 +46,11 @@ def brute_force_accuracy(pred, truth):
         mapped = np.array([perm[p] for p in pred])
         best = max(best, int((mapped == truth).sum()))
     return 100.0 * best / len(pred)
+
+
+def _table(points):
+    """The squared-distance table kmeans seeds from."""
+    return squareform(pdist(points, "sqeuclidean"))
 
 
 class TestEmbedding:
@@ -132,6 +133,14 @@ class TestKMeans:
         with pytest.raises(ConfigError):
             kmeans(pts, 5, [0])
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "a"])
+    def test_bad_seed(self, seed):
+        # True is no seed 1, and -1 and 1.5 must not reach default_rng
+        pts = np.random.default_rng(6).standard_normal((8, 2))
+        with pytest.raises(ConfigError, match="seed"):
+            kmeans(pts, 2, [0, seed])
+        with pytest.raises(ConfigError, match="seed"):
+            cluster(_block_affinity([3, 3, 3], [0.9, 0.8, 0.7]), 3, seed=seed)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_points(self, bad):
@@ -251,7 +260,7 @@ _REFERENCE_CASES = [
 def _seed_and_lloyd(points, k, seeds):
     """Each seed's restart as one chain of a lockstep seeding and Lloyd run."""
     rngs = [np.random.default_rng(s) for s in seeds]
-    rows = _seed_restarts(_distance_table(points), k, rngs, 1)[:, 0]
+    rows = _seed_restarts(_table(points), k, rngs, 1)[:, 0]
     return _lloyd(points, points[rows])
 
 
@@ -309,23 +318,55 @@ class TestAgainstReferenceKMeans:
 
 
 class TestDistanceTable:
-    @pytest.mark.parametrize("d", [1, 2, 8, 9, 20, 130])
-    @pytest.mark.parametrize("rows_per_block", [1, 5])
-    def test_rows_bitwise_equal_to_one_point_at_a_time(self, d, rows_per_block):
-        n = 37  # 5 does not divide it: the last block is short
-        points = np.random.default_rng(d).standard_normal((n, d))
-        table = _distance_table(points, block_size=rows_per_block * n * d)
-        for i in range(n):
-            assert table[i].tobytes() == np.sum((points - points[i]) ** 2, axis=1).tobytes()
+    @staticmethod
+    def _seeding_table(points, monkeypatch):
+        """The table kmeans(points, 3, [0]) hands to _seed_restarts."""
+        tables = []
+
+        def spied(table, k, rngs, restarts):
+            tables.append(table)
+            return _seed_restarts(table, k, rngs, restarts)
+
+        monkeypatch.setattr(spectral, "_seed_restarts", spied)
+        kmeans(points, 3, [0])
+        (table,) = tables
+        return table
 
     @pytest.mark.parametrize("d", [1, 2, 8, 9, 20, 130])
-    @pytest.mark.parametrize("rows_per_block", [1, 5, 37])
-    def test_exactly_symmetric(self, d, rows_per_block):
-        # n is odd and 5 does not divide it, so blocks straddle the diagonal
-        n = 37
+    @pytest.mark.parametrize("rows_per_block", [1, 5])
+    def test_rows_bitwise_equal_to_one_point_at_a_time(self, d, rows_per_block, monkeypatch):
+        """Each row of the table kmeans seeds from is bitwise the in-order sum
+        of squared coordinate differences, taken for rows_per_block points at
+        a time: no row depends on which other points share its block."""
+        n = 37  # 5 does not divide it: the last block is short
         points = np.random.default_rng(d).standard_normal((n, d))
-        table = _distance_table(points, block_size=rows_per_block * n * d)
+        table = self._seeding_table(points, monkeypatch)
+        for start in range(0, n, rows_per_block):
+            diff = points[None, :, :] - points[start : start + rows_per_block, None, :]
+            ref = np.zeros(diff.shape[:2])
+            for j in range(d):
+                ref += diff[:, :, j] ** 2
+            assert table[start : start + rows_per_block].tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2, 8, 9, 20, 130])
+    @pytest.mark.parametrize("distinct", [1, 5, 37])
+    def test_exactly_symmetric(self, d, distinct, monkeypatch):
+        """The table kmeans seeds from, on 40 points of which only distinct
+        differ: exactly symmetric, exact zeros on the diagonal and between
+        duplicates, and each row within 1e-15 relative of the one-point sum
+        (bitwise below d = 8, where numpy's pairwise sum starts to differ
+        from pdist's in-order one)."""
+        rng = np.random.default_rng(d)
+        points = rng.standard_normal((distinct, d))[rng.permutation(np.arange(40) % distinct)]
+        table = self._seeding_table(points, monkeypatch)
         assert table.tobytes() == np.ascontiguousarray(table.T).tobytes()
+        same = np.all(points[:, None, :] == points[None, :, :], axis=2)
+        assert np.all(np.diag(same)) and np.all(table[same] == 0.0)
+        for i in range(len(points)):
+            ref = np.sum((points - points[i]) ** 2, axis=1)
+            assert np.all(np.abs(table[i] - ref) <= 1e-15 * ref)
+            if d < 8:
+                assert table[i].tobytes() == ref.tobytes()
 
 
 class TestKMeansPlusPlusDraw:
@@ -334,18 +375,25 @@ class TestKMeansPlusPlusDraw:
     restarts and trials see the same stream."""
 
     @staticmethod
-    def _random_case(case):
-        """(points, k) of one of the 40 random cases; the rows are distinct."""
+    def _random_case(case, d=None):
+        """(points, k) of a random case, of 1 to 5 columns unless d is given;
+        the rows are distinct."""
         rng = np.random.default_rng(case)
         n = int(rng.integers(2, 120))
         k = int(rng.integers(1, n + 1))
-        return rng.standard_normal((n, int(rng.integers(1, 6)))), k
+        return rng.standard_normal((n, d or int(rng.integers(1, 6)))), k
 
-    @pytest.mark.parametrize("case", range(40))
-    def test_same_centers_and_generator_state(self, case):
-        points, k = self._random_case(case)
+    @pytest.mark.parametrize(
+        "case, d",
+        [pytest.param(case, None, id=str(case)) for case in range(40)]
+        # from d = 8 on, some table rows differ in the last bit from the
+        # one-point sums that the reference draws from
+        + [pytest.param(case, d, id=f"d{d}-{case}") for d in (8, 10, 20, 130) for case in range(5)],
+    )
+    def test_same_centers_and_generator_state(self, case, d):
+        points, k = self._random_case(case, d)
         rngs = [np.random.default_rng(seed) for seed in range(5)]
-        rows = _seed_restarts(_distance_table(points), k, rngs, 1)[:, 0]
+        rows = _seed_restarts(_table(points), k, rngs, 1)[:, 0]
         for seed, chain_rows, new_rng in zip(range(5), rows, rngs):
             ref_rng = np.random.default_rng(seed)
             assert points[chain_rows].tobytes() == _ref_kmeans_plus_plus(points, k, ref_rng).tobytes()
@@ -356,7 +404,7 @@ class TestKMeansPlusPlusDraw:
         # 10 restarts in one pass against 10 one-restart calls in sequence,
         # rows and generator states included
         points, k = self._random_case(case)
-        table = _distance_table(points)
+        table = _table(points)
         rngs = [np.random.default_rng(seed) for seed in range(5)]
         rows = _seed_restarts(table, k, rngs, 10)
         ref_rngs = [np.random.default_rng(seed) for seed in range(5)]
@@ -373,7 +421,7 @@ class TestKMeansPlusPlusDraw:
         # per restart, and each seed's labels do not depend on the others
         points, _ = _underflowing_duplicates(9)
         n, seeds = len(points), list(range(10, 20))
-        table = _distance_table(points)
+        table = _table(points)
         rngs = [np.random.default_rng(seed) for seed in seeds]
         rows = _seed_restarts(table, k, rngs, 10)
         # closest before draw j is the running minimum of the chosen rows
