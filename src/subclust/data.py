@@ -208,13 +208,33 @@ def pca_project(X: DataMatrix, target_dim: int) -> DataMatrix:
     """Project onto the top principal directions of the mean-centered data.
 
     Returns a target_dim x n matrix whose rows are ordered by decreasing
-    variance.
+    variance. The directions come from the eigendecomposition of the smaller
+    Gram matrix of the centered d x n data c: for d > n that is c^T c, whose
+    eigenpair (lambda, v) gives the unit direction c v / sqrt(lambda) (the
+    snapshot method of eigenfaces), otherwise c c^T, whose eigenvectors are
+    the directions. A direction whose eigenvalue is at most
+    max(d, n) * eps * the largest one lies past the numerical rank; its row
+    is exactly zero. c is first scaled by an exact power of two so that the
+    Gram matrix can neither overflow nor underflow, and the result is scaled
+    back exactly.
     """
     require("target_dim", target_dim, int, at_least=1, at_most=min(X.d, X.n))
     centered = X.values - X.values.mean(axis=1, keepdims=True)
-    U, s, Vt = np.linalg.svd(centered, full_matrices=False)
-    U = canonical_signs(U[:, :target_dim])
-    return DataMatrix(U.T @ centered)
+    # max and min make no temporary, and the scaling is in place: a d x n
+    # copy would raise the peak memory
+    exponent = int(np.frexp(max(centered.max(), -centered.min()))[1])
+    np.ldexp(centered, -exponent, out=centered)
+    wide = X.d > X.n
+    evals, evecs = np.linalg.eigh(centered.T @ centered if wide else centered @ centered.T)
+    evals, evecs = evals[::-1][:target_dim], evecs[:, ::-1][:, :target_dim]
+    rank = np.count_nonzero(evals > max(X.d, X.n) * np.finfo(np.float64).eps * evals[0])
+    U = np.zeros((X.d, target_dim))
+    if wide:
+        U[:, :rank] = centered @ (evecs[:, :rank] / np.sqrt(evals[:rank]))
+    else:
+        U[:, :rank] = evecs[:, :rank]
+    U = canonical_signs(U)
+    return DataMatrix(np.ldexp(U.T @ centered, exponent))
 
 
 def normalize_columns(X: DataMatrix) -> DataMatrix:

@@ -36,6 +36,15 @@ def _pairwise_distances(values):
     return np.sqrt(np.sum(diff * diff, axis=0))
 
 
+def _pca_by_thin_svd(values, target_dim):
+    """Reference PCA: the top left singular vectors of the centered data, each
+    signed so that its largest-magnitude entry is positive."""
+    centered = values - values.mean(axis=1, keepdims=True)
+    U = np.linalg.svd(centered, full_matrices=False)[0][:, :target_dim]
+    peaks = U[np.argmax(np.abs(U), axis=0), np.arange(target_dim)]
+    return (U * np.sign(peaks)).T @ centered
+
+
 class TestLoadSave:
     def test_csv_load_remaps_labels(self, tmp_path):
         matrix = tmp_path / "m.csv"
@@ -192,6 +201,60 @@ class TestPCA:
         for bad in (0, 4, 6):
             with pytest.raises(ConfigError):
                 pca_project(X, bad)
+
+    # wide data factors the n x n Gram matrix, the rest the d x d one
+    @pytest.mark.parametrize(
+        "d, n, target_dim",
+        [(60, 25, 10), (300, 40, 40), (2016, 64, 6), (15, 40, 10), (30, 30, 30), (8, 200, 1)],
+    )
+    def test_matches_thin_svd_reference(self, d, n, target_dim):
+        rng = np.random.default_rng(d + n)
+        values = rng.standard_normal((d, n)) * rng.uniform(1.0, 20.0, size=(d, 1))
+        Y = pca_project(DataMatrix(values), target_dim).values
+        assert Y.shape == (target_dim, n)
+        reference = _pca_by_thin_svd(values, target_dim)
+        assert np.abs(Y - reference).max() <= 1e-10 * np.abs(values).max()
+
+    def test_rows_past_the_numerical_rank_are_zero(self):
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal((40, 3)) @ rng.standard_normal((3, 12)) + rng.standard_normal((40, 1))
+        Y = pca_project(DataMatrix(values), 5).values
+        assert np.all(Y[3:] == 0.0)
+        assert np.all(np.abs(Y[:3]).max(axis=1) > 0.1)
+        err = np.abs(_pairwise_distances(Y) - _pairwise_distances(values))
+        assert err.max() < 1e-8
+
+    def test_wide_data_at_full_target_dim_ends_in_a_zero_row(self):
+        # centering removes one of the n dimensions
+        values = np.random.default_rng(6).standard_normal((30, 10)) * 5.0
+        Y = pca_project(DataMatrix(values), 10).values
+        assert np.all(Y[-1] == 0.0)
+        assert np.all(Y[:-1] != 0.0)
+
+    @pytest.mark.parametrize("shape", [(6, 4), (4, 6), (50, 8)])
+    def test_constant_data_projects_to_zero(self, shape):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            Y = pca_project(DataMatrix(np.full(shape, 7.25)), min(shape)).values
+        assert np.array_equal(Y, np.zeros((min(shape), shape[1])))
+
+    @pytest.mark.parametrize("shape", [(30, 12), (12, 30)])
+    @pytest.mark.parametrize("exponent", [500, -500])
+    def test_power_of_two_scaling_is_exact(self, shape, exponent):
+        values = np.random.default_rng(7).standard_normal(shape) * 10.0
+        Y = pca_project(DataMatrix(values), 6).values
+        scaled = pca_project(DataMatrix(np.ldexp(values, exponent)), 6).values
+        assert scaled.tobytes() == np.ldexp(Y, exponent).tobytes()
+
+    @pytest.mark.parametrize("shape", [(30, 12), (12, 30)])
+    # unscaled, the Gram matrix would overflow at 1e160 and be subnormal at 1e-160
+    @pytest.mark.parametrize("scale", [1e150, 1e-150, 1e160, 1e-160])
+    def test_extreme_scales_stay_finite(self, shape, scale):
+        values = np.random.default_rng(8).standard_normal(shape)
+        Y = pca_project(DataMatrix(values * scale), 6).values
+        assert np.all(np.isfinite(Y))
+        reference = _pca_by_thin_svd(values, 6)
+        assert np.abs(Y / scale - reference).max() <= 1e-10 * np.abs(values).max()
 
 
 class TestNormalize:
