@@ -9,7 +9,6 @@ the full solver x affinity grid.
 from .affinity import (
     AFFINITIES,
     AffinityConfig,
-    AffinityMatrix,
     build_affinity,
     build_ipm,
     build_sm,

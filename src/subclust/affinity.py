@@ -3,7 +3,9 @@
 Four builders: plain symmetrization (sm), per-column top-k sparsification
 followed by symmetrization (ssm), row-cosines of the skinny-SVD factor
 (svdm), and coefficient inner products over the data norms (ipm). Every builder
-returns a symmetric, nonnegative, finite matrix.
+returns an n x n float64 array that is exactly symmetric and nonnegative. It is
+finite unless its arithmetic overflows; spectral_embed, which consumes W,
+checks that W is finite.
 """
 
 from __future__ import annotations
@@ -30,25 +32,6 @@ class AffinityConfig:
         require("alpha", self.alpha, float, above=0)
 
 
-@dataclass(frozen=True)
-class AffinityMatrix:
-    """Symmetric nonnegative n x n similarity matrix for spectral clustering."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise DataError(f"affinity matrix must be square, got {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise DataError("affinity matrix contains non-finite entries")
-        if np.max(np.abs(v - v.T)) > 1e-12:
-            raise DataError("affinity matrix is not symmetric")
-        if v.min() < 0:
-            raise DataError("affinity matrix has negative entries")
-        object.__setattr__(self, "values", v)
-
-
 def _coeff_values(C) -> np.ndarray:
     """C's values; a raw array must be square and finite, as every solver's C is."""
     if isinstance(C, CoefficientMatrix):
@@ -61,10 +44,10 @@ def _coeff_values(C) -> np.ndarray:
     return cv
 
 
-def build_sm(C) -> AffinityMatrix:
+def build_sm(C) -> np.ndarray:
     """W = (|C| + |C|^T) / 2."""
     cv = np.abs(_coeff_values(C))
-    return AffinityMatrix(values=(cv + cv.T) / 2.0)
+    return (cv + cv.T) / 2.0
 
 
 def top_k_per_column(C: np.ndarray, k: int) -> np.ndarray:
@@ -82,14 +65,14 @@ def top_k_per_column(C: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def build_ssm(C, cfg: AffinityConfig) -> AffinityMatrix:
+def build_ssm(C, cfg: AffinityConfig) -> np.ndarray:
     """Sparsify each column to its k_top largest magnitudes, then symmetrize."""
     cv = _coeff_values(C)
     kept = np.abs(top_k_per_column(cv, cfg.k_top))
-    return AffinityMatrix(values=(kept + kept.T) / 2.0)
+    return (kept + kept.T) / 2.0
 
 
-def build_svdm(C, cfg: AffinityConfig) -> AffinityMatrix:
+def build_svdm(C, cfg: AffinityConfig) -> np.ndarray:
     """Absolute row cosines of the skinny-SVD factor, raised to 2*alpha.
 
     The skinny SVD keeps singular values >= 1e-4 * sigma_1 and
@@ -103,7 +86,7 @@ def build_svdm(C, cfg: AffinityConfig) -> AffinityMatrix:
         raise NumericalError(f"SVD of the coefficient matrix failed: {exc}") from exc
     n = cv.shape[0]
     if s.size == 0 or s[0] == 0.0:
-        return AffinityMatrix(values=np.zeros((n, n)))
+        return np.zeros((n, n))
     keep = s >= 1e-4 * s[0]
     root = np.sqrt(s[keep])
     vectors = U[:, keep] * root[None, :]  # rows of M = U * sqrt(S)
@@ -117,10 +100,10 @@ def build_svdm(C, cfg: AffinityConfig) -> AffinityMatrix:
     cos = np.zeros((n, n))
     cos[nz] = np.abs(gram[nz]) / denom[nz]
     np.clip(cos, 0.0, 1.0, out=cos)
-    return AffinityMatrix(values=cos ** (2.0 * cfg.alpha))
+    return cos ** (2.0 * cfg.alpha)
 
 
-def build_ipm(C, X: DataMatrix | None, cfg: AffinityConfig) -> AffinityMatrix:
+def build_ipm(C, X: DataMatrix | None, cfg: AffinityConfig) -> np.ndarray:
     """Absolute inner products of coefficient columns over the data norms, to power alpha.
 
     W_ij = (|c_i^T c_j| / (||x_i|| * ||x_j||))^alpha. Pairs with a zero
@@ -143,7 +126,7 @@ def build_ipm(C, X: DataMatrix | None, cfg: AffinityConfig) -> AffinityMatrix:
         )
     ratio = np.zeros((n, n))
     np.divide(np.abs(gram), denom, out=ratio, where=~degenerate)
-    return AffinityMatrix(values=ratio**cfg.alpha)
+    return ratio**cfg.alpha
 
 
 # name -> builder called as (C, X, cfg); the adapters drop what a builder does not read
@@ -158,7 +141,7 @@ AFFINITIES = tuple(_AFFINITIES)
 
 def build_affinity(
     method: str, C, X: DataMatrix | None = None, cfg: AffinityConfig | None = None
-) -> AffinityMatrix:
+) -> np.ndarray:
     """Dispatch to one of the four affinity builders by name."""
     builder = _AFFINITIES[require_one_of("affinity", method, AFFINITIES)]
     return builder(C, X, cfg or AffinityConfig())

@@ -127,7 +127,7 @@ def _cmd_run(args) -> int:
     if args.dump_coeff:
         save_matrix_binary(C.values, args.dump_coeff)
     if args.dump_affinity:
-        save_matrix_binary(W.values, args.dump_affinity)
+        save_matrix_binary(W, args.dump_affinity)
     if args.dump_labels:
         save_labels(labels, args.dump_labels)
     return EXIT_OK

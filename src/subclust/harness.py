@@ -88,8 +88,9 @@ class ExperimentConfig:
 class ExperimentResult:
     """Trial statistics of one experiment (accuracies in percent).
 
-    artifacts holds (C, W, trial-0 labels); only run_experiment sets it, so a
-    grid holds one W at a time.
+    artifacts holds (C, W, trial-0 labels), W the n x n array that
+    spectral_embed checked; only run_experiment sets it, so a grid holds one
+    W at a time.
     """
 
     mean: float
@@ -130,7 +131,7 @@ class PresetTable:
     """
 
     def __init__(self, table: dict):
-        self._configs = {}  # (dataset, solver) -> (SolverConfig, {affinity: AffinityConfig})
+        self.table = table
         for name, block in table.items():
             _reject_unknown(block, ("pipeline", "solvers"), f"preset block {name!r}")
             if set(block) != {"pipeline", "solvers"}:
@@ -153,13 +154,11 @@ class PresetTable:
                         entry.get(affinity, {}), _AFFINITY_CONFIG_KEYS, f"{context}/{affinity!r}"
                     )
                 try:  # a bad value fails here, not in run_grid after other solvers' cells
-                    self._configs[name, solver] = (
-                        default_solver_config(solver, lam=entry["lambda"]),
-                        {a: AffinityConfig(**entry.get(a, {})) for a in AFFINITY_ROWS},
-                    )
+                    self.solver_config(name, solver)
+                    for affinity in AFFINITY_ROWS:
+                        self.affinity_config(name, solver, affinity)
                 except ConfigError as exc:
                     raise ConfigError(f"{context}: {exc}") from None
-        self.table = table
 
     @classmethod
     def builtin(cls) -> "PresetTable":
@@ -184,16 +183,12 @@ class PresetTable:
         raw = self._entry(dataset, solver)
         return {"lambda": raw["lambda"], **raw.get(affinity, {})}
 
-    def _kept(self, dataset: str, solver: str):
-        require_one_of("preset dataset", dataset, self.table)
-        return self._configs[dataset, require_one_of("solver", solver, SOLVER_COLUMNS)]
-
     def solver_config(self, dataset: str, solver: str) -> SolverConfig:
-        return self._kept(dataset, solver)[0]
+        return default_solver_config(solver, lam=self._entry(dataset, solver)["lambda"])
 
     def affinity_config(self, dataset: str, solver: str, affinity: str) -> AffinityConfig:
         require_one_of("affinity", affinity, AFFINITY_ROWS)
-        return self._kept(dataset, solver)[1][affinity]
+        return AffinityConfig(**self._entry(dataset, solver).get(affinity, {}))
 
 
 def materialize_dataset(source: DatasetFiles | SyntheticSpec) -> Dataset:

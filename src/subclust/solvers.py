@@ -237,7 +237,9 @@ def solve_ssc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
     on one thin SVD X = U S Vt taken before the loop, so each iteration
     runs two n x r x n products, r = min(d, n). X C is formed only for the
     convergence test, once A - C meets tol, and at the last iteration.
-    Non-convergence within max_iter returns converged=False, not an error.
+    Non-convergence within max_iter returns converged=False, not an error;
+    a lambda_e outside (0, inf), from an X^T X that overflows or underflows,
+    raises NumericalError.
     """
     Xv = X.values
     d, n = Xv.shape
@@ -254,10 +256,15 @@ def solve_ssc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
         warnings.warn("ssc: data columns are mutually orthogonal; using lambda_e = lam")
         mu_e = 1.0
     lambda_e = cfg.lam / mu_e
-    if not np.isfinite(lambda_e):
+    if lambda_e == np.inf:
         raise NumericalError(
             f"ssc produced non-finite coefficients at lam={cfg.lam!r}: lambda_e = lam / mu_e "
             f"is inf at mu_e = {mu_e!r}; the data scale is too small or lam too large"
+        )
+    if not lambda_e > 0.0:  # 0.0 where X^T X overflows to mu_e = inf, nan where it is nan
+        raise NumericalError(
+            f"ssc cannot run at lam={cfg.lam!r}: lambda_e = lam / mu_e is {lambda_e!r} at "
+            f"mu_e = {mu_e!r}; the data scale is too large or lam too small"
         )
     rho1 = lambda_e  # penalty on the reconstruction constraint
     rho2 = cfg.lam

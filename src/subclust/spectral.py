@@ -15,22 +15,32 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import pdist, squareform
 
-from .affinity import AffinityMatrix
 from .data import LabelVector, canonical_signs
 from .errors import ConfigError, DataError, NumericalError, require
 
 
 def _affinity_values(W) -> np.ndarray:
-    if isinstance(W, AffinityMatrix):
-        return W.values
-    return AffinityMatrix(values=W).values
+    """W as float64, checked square, finite, symmetric within 1e-12 and nonnegative."""
+    values = np.asarray(W, dtype=np.float64)
+    if values.ndim != 2 or values.shape[0] != values.shape[1]:
+        raise DataError(f"affinity matrix must be square, got {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise DataError("affinity matrix contains non-finite entries")
+    if np.max(np.abs(values - values.T)) > 1e-12:
+        raise DataError("affinity matrix is not symmetric")
+    if values.min() < 0:
+        raise DataError("affinity matrix has negative entries")
+    return values
 
 
 def spectral_embed(W, n_clusters: int) -> np.ndarray:
     """Embed the graph nodes as rows of the leading eigenvectors of D^-1/2 W D^-1/2.
 
-    Needs 2 <= n_clusters <= n. The rows are scaled to unit norm; zero-degree
-    nodes get an all-zero row and a warning.
+    W is an n x n array; one that is not square, finite, symmetric within
+    1e-12 and nonnegative raises DataError. This is the one check of W in the
+    pipeline: the affinity builders return an unchecked array. Needs
+    2 <= n_clusters <= n. The rows are scaled to unit norm; zero-degree nodes
+    get an all-zero row and a warning.
     """
     values = _affinity_values(W)
     n = values.shape[0]
@@ -199,7 +209,7 @@ def kmeans(points: np.ndarray, k: int, seeds: Sequence[int]) -> list[np.ndarray]
 
 
 def cluster(W, n_clusters: int, seed: int = 0) -> LabelVector:
-    """Spectral embedding followed by k-means; returns predicted labels."""
+    """Spectral embedding, which checks W, then k-means; returns predicted labels."""
     labels = kmeans(spectral_embed(W, n_clusters), n_clusters, [seed])[0]
     return LabelVector(labels=labels, k=n_clusters)
 

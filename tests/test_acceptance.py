@@ -169,18 +169,18 @@ def test_criterion_3_affinity_properties():
             C = rng.standard_normal((9, 9))
             X = normalize_columns(DataMatrix(rng.standard_normal((6, 9))))
             for method in ("sm", "ssm", "svdm", "ipm"):
-                W = build_affinity(method, C, X, cfg).values
+                W = build_affinity(method, C, X, cfg)
                 assert np.max(np.abs(W - W.T)) <= 1e-12, method
                 assert W.min() >= 0.0, method
                 assert np.all(np.isfinite(W)), method
 
             # top-k with k = n keeps everything
-            full = build_ssm(C, AffinityConfig(k_top=9)).values
-            assert np.array_equal(full, build_sm(C).values)
+            full = build_ssm(C, AffinityConfig(k_top=9))
+            assert np.array_equal(full, build_sm(C))
 
             # scale invariance where the construction is scale-free
-            svdm_a = build_affinity("svdm", C, X, cfg).values
-            svdm_b = build_affinity("svdm", 3.0 * C, X, cfg).values
+            svdm_a = build_affinity("svdm", C, X, cfg)
+            svdm_b = build_affinity("svdm", 3.0 * C, X, cfg)
             assert np.max(np.abs(svdm_a - svdm_b)) <= 1e-10
 
 

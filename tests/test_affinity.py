@@ -5,7 +5,6 @@ import pytest
 
 from subclust import (
     AffinityConfig,
-    AffinityMatrix,
     build_affinity,
     build_ipm,
     build_sm,
@@ -22,28 +21,29 @@ def _random_coeff(seed, n=10):
     return np.random.default_rng(seed).standard_normal((n, n))
 
 
-def _check_affinity_invariants(W: AffinityMatrix):
-    assert np.max(np.abs(W.values - W.values.T)) <= 1e-12
-    assert W.values.min() >= 0.0
-    assert np.all(np.isfinite(W.values))
+def _check_affinity_invariants(W: np.ndarray):
+    # exact: each builder symmetrizes as (a + a^T) / 2 or divides by an outer product
+    assert np.array_equal(W, W.T)
+    assert W.min() >= 0.0
+    assert np.all(np.isfinite(W))
 
 
 class TestSM:
     def test_zero_matrix(self):
-        assert np.array_equal(build_sm(np.zeros((4, 4))).values, np.zeros((4, 4)))
+        assert np.array_equal(build_sm(np.zeros((4, 4))), np.zeros((4, 4)))
 
     def test_direct_evaluation(self):
         C = np.array([[0.0, 1.0], [-3.0, 0.0]])
-        assert np.array_equal(build_sm(C).values, np.array([[0.0, 2.0], [2.0, 0.0]]))
+        assert np.array_equal(build_sm(C), np.array([[0.0, 2.0], [2.0, 0.0]]))
 
     def test_fixed_point_on_symmetric_nonnegative(self):
         C = np.abs(_random_coeff(0))
         C = (C + C.T) / 2.0
-        assert np.array_equal(build_sm(C).values, C)
+        assert np.array_equal(build_sm(C), C)
 
     def test_sign_flip_invariant(self):
         C = _random_coeff(1)
-        assert np.array_equal(build_sm(C).values, build_sm(-C).values)
+        assert np.array_equal(build_sm(C), build_sm(-C))
 
 
 class TestSSM:
@@ -58,12 +58,12 @@ class TestSSM:
     def test_k_equal_n_matches_sm(self):
         C = _random_coeff(2, n=9)
         ssm = build_ssm(C, AffinityConfig(k_top=9))
-        assert np.array_equal(ssm.values, build_sm(C).values)
+        assert np.array_equal(ssm, build_sm(C))
 
     def test_sign_flip_invariant(self):
         C = _random_coeff(3)
-        a = build_ssm(C, AffinityConfig(k_top=4)).values
-        b = build_ssm(-C, AffinityConfig(k_top=4)).values
+        a = build_ssm(C, AffinityConfig(k_top=4))
+        b = build_ssm(-C, AffinityConfig(k_top=4))
         assert np.array_equal(a, b)
 
     def test_k_out_of_range(self):
@@ -78,7 +78,7 @@ class TestSVDM:
         u[np.abs(u) < 0.1] = 0.5  # keep rows away from zero
         C = np.outer(u, rng.standard_normal(6))
         W = build_svdm(C, AffinityConfig(alpha=0.7))
-        assert np.allclose(W.values, 1.0, atol=1e-10)
+        assert np.allclose(W, 1.0, atol=1e-10)
 
     def test_orthogonal_blocks_zero_cross(self):
         rng = np.random.default_rng(5)
@@ -86,7 +86,7 @@ class TestSVDM:
         C[:3, :3] = rng.standard_normal((3, 3))
         C[3:, 3:] = rng.standard_normal((3, 3))
         W = build_svdm(C, AffinityConfig(alpha=2.0))
-        assert np.abs(W.values[:3, 3:]).max() <= 1e-10
+        assert np.abs(W[:3, 3:]).max() <= 1e-10
 
     def test_half_alpha_reproduces_cosine_identity(self):
         C = _random_coeff(6, n=7)
@@ -95,24 +95,24 @@ class TestSVDM:
         M = U * np.sqrt(s)[None, :]
         norms = np.linalg.norm(M, axis=1)
         expected = np.abs(M @ M.T)
-        assert np.max(np.abs(W.values * np.outer(norms, norms) - expected)) <= 1e-10
+        assert np.max(np.abs(W * np.outer(norms, norms) - expected)) <= 1e-10
 
     def test_scale_invariant(self):
         C = _random_coeff(7)
-        a = build_svdm(C, AffinityConfig(alpha=1.5)).values
-        b = build_svdm(3.0 * C, AffinityConfig(alpha=1.5)).values
+        a = build_svdm(C, AffinityConfig(alpha=1.5))
+        b = build_svdm(3.0 * C, AffinityConfig(alpha=1.5))
         assert np.max(np.abs(a - b)) <= 1e-10
 
     def test_zero_matrix(self):
         W = build_svdm(np.zeros((5, 5)), AffinityConfig())
-        assert np.array_equal(W.values, np.zeros((5, 5)))
+        assert np.array_equal(W, np.zeros((5, 5)))
 
     def test_zero_row_gets_zero_affinities(self):
         C = _random_coeff(9, n=5)
         C[2, :] = 0.0
         C[:, 2] = 0.0
         W = build_svdm(C, AffinityConfig(alpha=1.0))
-        assert np.all(W.values[2, :] == 0.0) and np.all(W.values[:, 2] == 0.0)
+        assert np.all(W[2, :] == 0.0) and np.all(W[:, 2] == 0.0)
 
 
 class TestIPM:
@@ -120,7 +120,7 @@ class TestIPM:
         C = np.eye(6)  # exactly orthogonal coefficient columns
         X = normalize_columns(DataMatrix(np.random.default_rng(10).standard_normal((4, 6))))
         W = build_ipm(C, X, AffinityConfig(alpha=1.0))
-        off = W.values - np.diag(np.diag(W.values))
+        off = W - np.diag(np.diag(W))
         assert np.all(off == 0.0)
 
     def test_unit_vectors_give_one(self):
@@ -129,14 +129,14 @@ class TestIPM:
         C[0, :] = 1.0  # every c_i = e_1
         X = DataMatrix(np.vstack([np.ones((1, n)), np.zeros((2, n))]))  # unit columns
         W = build_ipm(C, X, AffinityConfig(alpha=1.0))
-        assert np.allclose(W.values, 1.0)
+        assert np.allclose(W, 1.0)
 
     def test_data_norms_mode_not_scale_invariant(self):
         C = _random_coeff(12)
         X = normalize_columns(DataMatrix(np.random.default_rng(0).standard_normal((6, 10))))
         cfg = AffinityConfig(alpha=1.0)
-        a = build_ipm(C, X, cfg).values
-        b = build_ipm(2.0 * C, X, cfg).values
+        a = build_ipm(C, X, cfg)
+        b = build_ipm(2.0 * C, X, cfg)
         assert np.max(np.abs(4.0 * a - b)) <= 1e-10  # scales by s^2 instead
 
     def test_zero_denominator_pairs_warn(self):
@@ -145,7 +145,7 @@ class TestIPM:
         Xv[:, 1] = 0.0
         with pytest.warns(UserWarning, match="zero-norm"):
             W = build_ipm(C, DataMatrix(Xv), AffinityConfig(alpha=1.0))
-        assert np.all(W.values[1, :] == 0.0)
+        assert np.all(W[1, :] == 0.0)
 
     def test_data_norms_requires_x(self):
         with pytest.raises(ConfigError):
@@ -172,7 +172,7 @@ class TestSharedProperties:
         X = normalize_columns(DataMatrix(rng.standard_normal((5, 8))))
         for method in ("sm", "ssm", "svdm", "ipm"):
             W = build_affinity(method, C, X, AffinityConfig(k_top=3, alpha=1.0))
-            assert np.abs(W.values[:4, 4:]).max() <= 1e-8, method
+            assert np.abs(W[:4, 4:]).max() <= 1e-8, method
 
     def test_unknown_method(self):
         with pytest.raises(ConfigError):
@@ -205,20 +205,10 @@ class TestSharedProperties:
             "ipm": build_ipm(C, X, cfg),
         }
         for method, W in direct.items():
-            assert np.array_equal(build_affinity(method, C, X, cfg).values, W.values), method
+            assert np.array_equal(build_affinity(method, C, X, cfg), W), method
 
 
-class TestAffinityMatrixValidation:
-    def test_asymmetric_rejected(self):
-        bad = np.array([[0.0, 1.0], [2.0, 0.0]])
-        with pytest.raises(DataError):
-            AffinityMatrix(values=bad)
-
-    def test_negative_rejected(self):
-        bad = np.array([[0.0, -1.0], [-1.0, 0.0]])
-        with pytest.raises(DataError):
-            AffinityMatrix(values=bad)
-
+class TestAffinityConfig:
     def test_config_validation(self):
         with pytest.raises(ConfigError):
             AffinityConfig(alpha=0.0)

@@ -169,7 +169,7 @@ class TestRun:
         W = build_affinity("sm", C, ds.matrix)
         pred = cluster(W, 3, seed=trial_seed(2, 0))
         assert np.array_equal(load_matrix_binary(dumps["coeff"]), C.values)
-        assert np.array_equal(load_matrix_binary(dumps["affinity"]), W.values)
+        assert np.array_equal(load_matrix_binary(dumps["affinity"]), W)
         assert np.array_equal(np.loadtxt(dumps["labels"], dtype=np.int64), pred.labels)
 
     def test_unknown_config_key_exits_one(self, tmp_path, capsys):

@@ -292,6 +292,20 @@ class TestRunGrid:
         )
         assert grid.errors == {("ssc", affinity): reason for affinity in AFFINITY_ROWS}
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning", "ignore:.*zero-degree:UserWarning")
+    def test_overflowing_data_fails_only_the_overflowed_solvers(self):
+        # unnormalized data at 1e155: lsr's and smr's s**2 and ssc's X^T X
+        # overflow; lrrsc's closed form V_r V_r^T is scale-free
+        ds = generate_synthetic(SyntheticSpec(3, 2, 10, 8, 0.01, 3))
+        ds = replace(ds, matrix=DataMatrix(ds.matrix.values * 1e155))
+        grid = run_grid(ds, trials=2)
+        assert set(grid.cells) == {("lrrsc", affinity) for affinity in AFFINITY_ROWS}
+        assert set(grid.errors) == {
+            (solver, affinity) for solver in ("lsr", "smr", "ssc") for affinity in AFFINITY_ROWS
+        }
+        assert all(reason.startswith("NumericalError: ") for reason in grid.errors.values())
+        assert "mu_e = inf; the data scale is too large" in grid.errors[("ssc", "sm")]
+
     def test_preset_requires_name(self):
         ds = prepare_dataset(generate_synthetic(SMALL_SPEC), normalize=True)
         with pytest.raises(ConfigError, match="given together"):

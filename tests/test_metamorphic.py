@@ -80,8 +80,8 @@ class TestColumnPermutation:
         acfg = AffinityConfig()
         _assert_no_top_k_tie(C.values, acfg.k_top, C_BOUND)
         for affinity in AFFINITIES:
-            W = build_affinity(affinity, C, ds.matrix, acfg).values
-            W_perm = build_affinity(affinity, C_perm, X_perm, acfg).values
+            W = build_affinity(affinity, C, ds.matrix, acfg)
+            W_perm = build_affinity(affinity, C_perm, X_perm, acfg)
             bound = SVDM_SMALL_C_BOUND if (affinity, lam) == ("svdm", 0.05) else W_BOUND
             assert np.abs(W[block] - W_perm).max() <= bound, affinity
 

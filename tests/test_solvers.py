@@ -951,6 +951,27 @@ class TestExtremeDataScale:
         with pytest.raises(NumericalError, match="mu_e = .*e-32.*data scale is too small"):
             solve_ssc(self._scaled(1e-160), default_solver_config("ssc"))
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            # X^T X overflows to inf: lambda_e = 0.0 would make the shrinkage
+            # threshold lambda_e / rho1 = 0.0 / 0.0
+            (SyntheticSpec(3, 2, 10, 8, 0.01, 3), "is 0.0 at mu_e = inf"),
+            # products of both signs overflow, and inf + (-inf) makes mu_e nan
+            (SyntheticSpec(3, 3, 20, 15, 0.05, 1), "is nan at mu_e = nan"),
+        ],
+        ids=["inf", "nan"],
+    )
+    def test_ssc_names_the_overflowed_mu_e(self, spec, message):
+        X = DataMatrix(generate_synthetic(spec).matrix.values * 1e155)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError) as caught:
+                solve_ssc(X, default_solver_config("ssc"))
+        assert str(caught.value) == (
+            f"ssc cannot run at lam=20.0: lambda_e = lam / mu_e {message}; "
+            "the data scale is too large or lam too small"
+        )
+
 
 class TestConfig:
     def test_positive_parameters_enforced(self):

@@ -1,6 +1,7 @@
 """Spectral embedding, k-means, and clustering accuracy tests."""
 
 import itertools
+import re
 import warnings
 
 import numpy as np
@@ -102,6 +103,44 @@ class TestEmbedding:
     def test_n_clusters_below_two(self):
         with pytest.raises(ConfigError, match="2..3"):
             spectral_embed(np.ones((3, 3)), 1)
+
+
+class TestAffinityCheck:
+    """spectral_embed checks every W it receives, raw or built, and cluster through it."""
+
+    @pytest.mark.parametrize(
+        "consume",
+        [lambda W: spectral_embed(W, 2), lambda W: cluster(W, 2)],
+        ids=["spectral_embed", "cluster"],
+    )
+    @pytest.mark.parametrize(
+        "W, message",
+        [
+            pytest.param(np.ones((3, 4)), "affinity matrix must be square, got (3, 4)", id="non-square"),
+            pytest.param(
+                np.where(np.eye(3) > 0, 1.0, np.nan),
+                "affinity matrix contains non-finite entries",
+                id="nan",
+            ),
+            pytest.param(
+                np.array([[0.0, 1.0], [2.0, 0.0]]), "affinity matrix is not symmetric", id="asymmetric"
+            ),
+            pytest.param(
+                np.array([[0.0, -1.0], [-1.0, 0.0]]),
+                "affinity matrix has negative entries",
+                id="negative",
+            ),
+        ],
+    )
+    def test_defective_affinity_rejected(self, consume, W, message):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            consume(W)
+
+    def test_overflowed_builder_output_rejected(self):
+        with np.errstate(over="ignore"):
+            W = build_sm(np.full((4, 4), 1e308))  # (|C| + |C|^T) / 2 is inf
+        with pytest.raises(DataError, match="non-finite"):
+            cluster(W, 2)
 
 
 class TestKMeans:
