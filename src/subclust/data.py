@@ -18,6 +18,9 @@ from .errors import DataError, require, require_one_of
 BINARY_MAGIC = b"SSCB"
 BINARY_VERSION = 0x01
 FORMATS = ("csv", "binary")
+# rows per block where a d x n pass over the data would otherwise need a d x n
+# temporary: the synthetic noise draw and wide PCA
+_ROW_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -192,16 +195,28 @@ def save_dataset(ds: Dataset, matrix_path, labels_path, format: str = "csv") -> 
     save_labels(ds.truth, labels_path)
 
 
+def _first_peaks(vectors: np.ndarray) -> np.ndarray:
+    """Each column's first largest-magnitude entry, the one np.argmax picks."""
+    return vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+
+
 def canonical_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip columns in place so each one's largest-magnitude entry is positive.
 
-    Fixes the sign ambiguity of eigen- and singular vectors for reproducibility.
+    Of tied entries the first one counts. Fixes the sign ambiguity of eigen-
+    and singular vectors for reproducibility.
     """
-    for j in range(vectors.shape[1]):
-        i = int(np.argmax(np.abs(vectors[:, j])))
-        if vectors[i, j] < 0:
-            vectors[:, j] = -vectors[:, j]
+    vectors[:, _first_peaks(vectors) < 0] *= -1.0
     return vectors
+
+
+def _leading_eigenpairs(gram: np.ndarray, target_dim: int, X: DataMatrix):
+    """The eigenpairs of gram with the target_dim largest eigenvalues, largest
+    first, cut to those above max(d, n) * eps * the largest eigenvalue."""
+    evals, evecs = np.linalg.eigh(gram)
+    evals, evecs = evals[::-1][:target_dim], evecs[:, ::-1][:, :target_dim]
+    rank = np.count_nonzero(evals > max(X.d, X.n) * np.finfo(np.float64).eps * evals[0])
+    return evals[:rank], evecs[:, :rank]
 
 
 def pca_project(X: DataMatrix, target_dim: int) -> DataMatrix:
@@ -210,31 +225,52 @@ def pca_project(X: DataMatrix, target_dim: int) -> DataMatrix:
     Returns a target_dim x n matrix whose rows are ordered by decreasing
     variance. The directions come from the eigendecomposition of the smaller
     Gram matrix of the centered d x n data c: for d > n that is c^T c, whose
-    eigenpair (lambda, v) gives the unit direction c v / sqrt(lambda) (the
+    eigenpair (lambda, v) gives the unit direction u = c v / sqrt(lambda) (the
     snapshot method of eigenfaces), otherwise c c^T, whose eigenvectors are
     the directions. A direction whose eigenvalue is at most
     max(d, n) * eps * the largest one lies past the numerical rank; its row
     is exactly zero. c is first scaled by an exact power of two so that the
     Gram matrix can neither overflow nor underflow, and the result is scaled
     back exactly.
+
+    For d > n no d x n copy of c is formed: c^T c is summed over blocks of
+    256 rows, a second pass over the blocks of c v / sqrt(lambda) finds each
+    direction's sign, and the row of u^T c is sqrt(lambda) v^T.
     """
     require("target_dim", target_dim, int, at_least=1, at_most=min(X.d, X.n))
-    centered = X.values - X.values.mean(axis=1, keepdims=True)
-    # max and min make no temporary, and the scaling is in place: a d x n
-    # copy would raise the peak memory
-    exponent = int(np.frexp(max(centered.max(), -centered.min()))[1])
-    np.ldexp(centered, -exponent, out=centered)
-    wide = X.d > X.n
-    evals, evecs = np.linalg.eigh(centered.T @ centered if wide else centered @ centered.T)
-    evals, evecs = evals[::-1][:target_dim], evecs[:, ::-1][:, :target_dim]
-    rank = np.count_nonzero(evals > max(X.d, X.n) * np.finfo(np.float64).eps * evals[0])
-    U = np.zeros((X.d, target_dim))
-    if wide:
-        U[:, :rank] = centered @ (evecs[:, :rank] / np.sqrt(evals[:rank]))
-    else:
-        U[:, :rank] = evecs[:, :rank]
-    U = canonical_signs(U)
-    return DataMatrix(np.ldexp(U.T @ centered, exponent))
+    values = X.values
+    mean = values.mean(axis=1, keepdims=True)
+    # rounding is monotone, so max(x_i - m_i) is fl(max(x_i) - m_i): the
+    # extremes of c come from those of X, without a d x n difference
+    peak = max(
+        np.max(values.max(axis=1, keepdims=True) - mean),
+        np.max(mean - values.min(axis=1, keepdims=True)),
+    )
+    exponent = int(np.frexp(peak)[1])
+    if X.d <= X.n:
+        centered = values - mean
+        np.ldexp(centered, -exponent, out=centered)
+        evals, evecs = _leading_eigenpairs(centered @ centered.T, target_dim, X)
+        U = np.zeros((X.d, target_dim))
+        U[:, : evals.size] = evecs
+        return DataMatrix(np.ldexp(canonical_signs(U).T @ centered, exponent))
+
+    def scaled_blocks():
+        for start in range(0, X.d, _ROW_BLOCK):
+            block = values[start : start + _ROW_BLOCK] - mean[start : start + _ROW_BLOCK]
+            yield np.ldexp(block, -exponent, out=block)
+
+    gram = np.zeros((X.n, X.n))
+    for block in scaled_blocks():
+        gram += block.T @ block
+    evals, evecs = _leading_eigenpairs(gram, target_dim, X)
+    to_directions = evecs / np.sqrt(evals)
+    # canonical_signs on u: the first largest magnitude of each block's rows,
+    # then the first largest of those
+    first = _first_peaks(np.array([_first_peaks(c @ to_directions) for c in scaled_blocks()]))
+    Y = np.zeros((target_dim, X.n))
+    Y[: evals.size] = np.where(first < 0, -1.0, 1.0)[:, None] * np.sqrt(evals)[:, None] * evecs.T
+    return DataMatrix(np.ldexp(Y, exponent))
 
 
 def normalize_columns(X: DataMatrix) -> DataMatrix:
@@ -282,7 +318,11 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
         values[:, i * m : (i + 1) * m] = basis @ coeffs
         labels[i * m : (i + 1) * m] = i
     if spec.noise_sigma > 0:
-        values += spec.noise_sigma * rng.standard_normal((d, total))
+        # the generator fills C order, so the row blocks draw the same noise
+        # as one d x total draw, without a d x total temporary
+        for start in range(0, d, _ROW_BLOCK):
+            rows = values[start : start + _ROW_BLOCK]
+            rows += spec.noise_sigma * rng.standard_normal(rows.shape)
     return Dataset(matrix=DataMatrix(values), truth=LabelVector(labels, spec.num_subspaces))
 
 

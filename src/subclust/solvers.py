@@ -160,6 +160,20 @@ def _quadratic_step(B, M, US, Vt, g, rho1: float, rho2: float):
     return A, US @ (P + Z)
 
 
+def _squared_singular_values(s: np.ndarray, solver: str) -> np.ndarray:
+    """s**2 of X's descending singular values s. Where the largest square
+    overflows no lam can help, so that is a NumericalError naming the data
+    scale, raised before any overflow warns."""
+    with np.errstate(over="ignore"):
+        s2 = s**2
+    if np.isinf(s2[0]):
+        raise NumericalError(
+            f"{solver} cannot run: the largest singular value of X, {float(s[0])!r}, squares to "
+            "inf; the data scale is too large"
+        )
+    return s2
+
+
 def _gram(X: DataMatrix) -> np.ndarray:
     G = X.values.T @ X.values
     return (G + G.T) / 2.0
@@ -185,10 +199,11 @@ def solve_lsr(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
     Minimizes ||X - XC||_F^2 + lam*||C||_F^2. With X = U diag(s) Vt, the
     minimizer (G + lam I)^-1 G of G = X^T X is Vt^T diag(s^2 / (s^2 + lam)) Vt.
     """
+    _, s, Vt = _thin_svd(X.values)
+    s2 = _squared_singular_values(s, "lsr")
     G = _gram(X)
     scale = max(1.0, np.max(np.abs(G)))
-    _, s, Vt = _thin_svd(X.values)
-    C = (Vt.T * (s**2 / (s**2 + cfg.lam))) @ Vt
+    C = (Vt.T * (s2 / (s2 + cfg.lam))) @ Vt
     resid = np.max(np.abs(G @ C + cfg.lam * C - G)) / scale
 
     fit = X.values - X.values @ C
@@ -206,6 +221,8 @@ def solve_smr(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
     by eigendecomposing L_hat and taking the thin SVD of X; the null
     directions of X have zero gain.
     """
+    _, s, Vt = _thin_svd(X.values)
+    s2 = _squared_singular_values(s, "smr")
     L_hat = build_knn_laplacian(X, min(4, X.n - 1), 0.01)
     G = _gram(X)
     scale = max(1.0, np.max(np.abs(G)))
@@ -213,9 +230,8 @@ def solve_smr(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
         theta, Q = np.linalg.eigh(L_hat)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"eigendecomposition failed: {exc}") from exc
-    _, s, Vt = _thin_svd(X.values)
     # per Laplacian eigendirection: (lam*G + theta_i I)^-1 lam*G q_i, G = Vt^T diag(s^2) Vt
-    lam_g = cfg.lam * s[:, None] ** 2
+    lam_g = cfg.lam * s2[:, None]
     gain = lam_g / (lam_g + theta[None, :])
     C = Vt.T @ (gain * (Vt @ Q)) @ Q.T
 
@@ -243,13 +259,16 @@ def solve_ssc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
     """
     Xv = X.values
     d, n = Xv.shape
-    zero = np.flatnonzero(np.linalg.norm(Xv, axis=0) == 0.0)
+    # an overflowed norm is not zero, and an overflowed X^T X fails lambda_e's
+    # checks below, which name the data scale; neither warns
+    with np.errstate(over="ignore", invalid="ignore"):
+        zero = np.flatnonzero(np.linalg.norm(Xv, axis=0) == 0.0)
+        offdiag = np.abs(_gram(X))
     if zero.size:
         shown = ", ".join(map(str, zero[:10])) + (", ..." if zero.size > 10 else "")
         raise DataError(
             f"ssc requires nonzero columns; {zero.size} column(s) have zero norm, at index {shown}"
         )
-    offdiag = np.abs(_gram(X))
     np.fill_diagonal(offdiag, 0.0)
     mu_e = float(offdiag.max(axis=0).min())
     if mu_e <= 0.0:

@@ -20,10 +20,12 @@ from .errors import ConfigError, DataError, NumericalError, require
 
 
 def _affinity_values(W) -> np.ndarray:
-    """W as float64, checked square, finite, symmetric within 1e-12 and nonnegative."""
+    """W as float64, checked square, nonempty, finite, symmetric within 1e-12 and nonnegative."""
     values = np.asarray(W, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise DataError(f"affinity matrix must be square, got {values.shape}")
+    if values.size == 0:
+        raise DataError("affinity matrix is empty (0 x 0)")
     if not np.all(np.isfinite(values)):
         raise DataError("affinity matrix contains non-finite entries")
     if np.max(np.abs(values - values.T)) > 1e-12:
@@ -36,9 +38,9 @@ def _affinity_values(W) -> np.ndarray:
 def spectral_embed(W, n_clusters: int) -> np.ndarray:
     """Embed the graph nodes as rows of the leading eigenvectors of D^-1/2 W D^-1/2.
 
-    W is an n x n array; one that is not square, finite, symmetric within
-    1e-12 and nonnegative raises DataError. This is the one check of W in the
-    pipeline: the affinity builders return an unchecked array. Needs
+    W is an n x n array; one that is not square, nonempty, finite, symmetric
+    within 1e-12 and nonnegative raises DataError. This is the one check of W
+    in the pipeline: the affinity builders return an unchecked array. Needs
     2 <= n_clusters <= n. The rows are scaled to unit norm; zero-degree nodes
     get an all-zero row and a warning.
     """

@@ -445,6 +445,31 @@ class TestExitCodes:
             assert main(["run", "--config", str(path)]) == 3
         assert "smr produced non-finite coefficients at lam=1e+308" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("solver", ["lsr", "smr", "ssc"])
+    def test_overflowing_data_scale_prints_only_the_failure(self, tmp_path, solver):
+        # unnormalized data at 1e155: X^T X and s**2 overflow. A separate
+        # process shows what reaches stderr, where numpy's warnings would print
+        ds = subclust.generate_synthetic(subclust.SyntheticSpec(3, 2, 10, 8, 0.01, 3))
+        matrix, labels = tmp_path / "big.csv", tmp_path / "big.labels"
+        subclust.save_dataset(
+            subclust.Dataset(subclust.DataMatrix(ds.matrix.values * 1e155), ds.truth), matrix, labels
+        )
+        cfg = {
+            "dataset": {"matrix_path": str(matrix), "labels_path": str(labels)},
+            "solver": solver, "affinity": "sm", "n_clusters": 3, "trials": 1, "normalize": False,
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        src = os.path.dirname(os.path.dirname(subclust.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "subclust.cli", "run", "--config", str(path)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("subclust: numerical failure: ")
+        assert proc.stderr.count("\n") == 1
+        assert "the data scale is too large" in proc.stderr
+
     def test_dump_labels(self, tmp_path):
         matrix, labels = _write_synth(tmp_path)
         cfg = {

@@ -1,5 +1,6 @@
 """Dataset I/O, preprocessing, and synthetic generation tests."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -19,7 +20,7 @@ from subclust import (
     save_dataset,
     solve_lsr,
 )
-from subclust.data import load_matrix_binary, save_matrix_binary
+from subclust.data import canonical_signs, load_matrix_binary, save_matrix_binary
 from subclust.errors import ConfigError, DataError
 
 
@@ -202,10 +203,13 @@ class TestPCA:
             with pytest.raises(ConfigError):
                 pca_project(X, bad)
 
-    # wide data factors the n x n Gram matrix, the rest the d x d one
+    # wide data factors the n x n Gram matrix, the rest the d x d one; wide
+    # data is passed over in blocks of 256 rows, so the last three cases end
+    # in a block of one row, one of one row and one of 224
     @pytest.mark.parametrize(
         "d, n, target_dim",
-        [(60, 25, 10), (300, 40, 40), (2016, 64, 6), (15, 40, 10), (30, 30, 30), (8, 200, 1)],
+        [(60, 25, 10), (300, 40, 40), (2016, 64, 6), (15, 40, 10), (30, 30, 30), (8, 200, 1),
+         (257, 40, 12), (513, 64, 30), (2016, 120, 60)],
     )
     def test_matches_thin_svd_reference(self, d, n, target_dim):
         rng = np.random.default_rng(d + n)
@@ -238,7 +242,7 @@ class TestPCA:
             Y = pca_project(DataMatrix(np.full(shape, 7.25)), min(shape)).values
         assert np.array_equal(Y, np.zeros((min(shape), shape[1])))
 
-    @pytest.mark.parametrize("shape", [(30, 12), (12, 30)])
+    @pytest.mark.parametrize("shape", [(30, 12), (12, 30), (257, 30), (513, 30), (2016, 30)])
     @pytest.mark.parametrize("exponent", [500, -500])
     def test_power_of_two_scaling_is_exact(self, shape, exponent):
         values = np.random.default_rng(7).standard_normal(shape) * 10.0
@@ -255,6 +259,74 @@ class TestPCA:
         assert np.all(np.isfinite(Y))
         reference = _pca_by_thin_svd(values, 6)
         assert np.abs(Y / scale - reference).max() <= 1e-10 * np.abs(values).max()
+
+    @pytest.mark.parametrize("d", [257, 513, 2016])
+    def test_wide_blocks_rank_deficient_rows_are_zero(self, d):
+        rng = np.random.default_rng(d + 1)
+        values = rng.standard_normal((d, 4)) @ rng.standard_normal((4, 30)) + rng.standard_normal((d, 1))
+        Y = pca_project(DataMatrix(values), 8).values
+        assert np.all(Y[4:] == 0.0)
+        assert np.abs(Y[:4] - _pca_by_thin_svd(values, 4)).max() <= 1e-10 * np.abs(values).max()
+
+    def test_wide_blocks_sign_tie_takes_the_first_peak(self):
+        # row 256 + i is -row i, so every direction's largest magnitude is
+        # tied between the two blocks, with opposite signs; the first counts
+        half = np.random.default_rng(9).standard_normal((256, 40)) * 3.0
+        values = np.vstack([half, -half])
+        centered = values - values.mean(axis=1, keepdims=True)
+        evals, evecs = np.linalg.eigh(centered.T @ centered)
+        U = centered @ (evecs[:, ::-1][:, :5] / np.sqrt(evals[::-1][:5]))
+        assert np.array_equal(U[256:], -U[:256])
+        expected = canonical_signs(U).T @ centered
+        Y = pca_project(DataMatrix(values), 5).values
+        assert np.abs(Y - expected).max() <= 1e-10 * np.abs(values).max()
+
+
+def _canonical_signs_by_loop(vectors):
+    """Reference: flip each column whose first largest-magnitude entry is negative."""
+    out = vectors.copy()
+    for j in range(out.shape[1]):
+        i = int(np.argmax(np.abs(out[:, j])))
+        if out[i, j] < 0:
+            out[:, j] = -out[:, j]
+    return out
+
+
+class TestCanonicalSigns:
+    def test_matches_the_column_loop(self):
+        rng = np.random.default_rng(10)
+        vectors = rng.standard_normal((9, 6))
+        vectors[:, 2] = 0.0  # no entry to sign by: left as it is
+        vectors[[1, 4], 3] = [-5.0, 5.0]  # a tie: the first entry counts
+        vectors[[0, 7], 4] = [6.0, -6.0]
+        expected = _canonical_signs_by_loop(vectors)
+        assert canonical_signs(vectors).tobytes() == expected.tobytes()
+        assert vectors[1, 3] == 5.0 and vectors[0, 4] == 6.0
+
+class TestSetupMemory:
+    """Peak numpy heap of the set-up steps, as tracemalloc sees it, against
+    the size of X: the noise draw and wide PCA make no d x n temporary."""
+
+    SPEC = SyntheticSpec(4, 3, 4096, 16, 0.05, 0)
+
+    def test_generate_synthetic_peak(self):
+        tracemalloc.start()
+        try:
+            ds = generate_synthetic(self.SPEC)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * ds.matrix.values.nbytes
+
+    def test_pca_project_peak_above_its_entry(self):
+        X = generate_synthetic(self.SPEC).matrix
+        tracemalloc.start()
+        try:
+            pca_project(X, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.5 * X.values.nbytes
 
 
 class TestNormalize:
@@ -352,6 +424,19 @@ class TestSynthetic:
         block = noisy.matrix.values[:, :8]
         s = np.linalg.svd(block, compute_uv=False)
         assert s[2] > 1e-6 * s[0]  # noise breaks the exact low rank
+
+    @pytest.mark.parametrize("d", [255, 256, 257, 2016])
+    def test_noise_matches_one_shot_draw(self, d):
+        # the noise is drawn in blocks of 256 rows; the generator fills C
+        # order, so X is bitwise that of one d x n draw
+        spec = SyntheticSpec(3, 4, d, 10, 0.05, seed=d)
+        clean = generate_synthetic(SyntheticSpec(3, 4, d, 10, 0.0, seed=d)).matrix.values
+        rng = np.random.default_rng(d)
+        for _ in range(3):  # replay each subspace's basis and coefficient draws
+            rng.standard_normal((d, 4))
+            rng.standard_normal((4, 10))
+        one_shot = clean + 0.05 * rng.standard_normal((d, 30))
+        assert generate_synthetic(spec).matrix.values.tobytes() == one_shot.tobytes()
 
     def test_infeasible_spec(self):
         with pytest.raises(ConfigError):

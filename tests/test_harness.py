@@ -305,6 +305,8 @@ class TestRunGrid:
         }
         assert all(reason.startswith("NumericalError: ") for reason in grid.errors.values())
         assert "mu_e = inf; the data scale is too large" in grid.errors[("ssc", "sm")]
+        for solver in ("lsr", "smr"):
+            assert "squares to inf; the data scale is too large" in grid.errors[(solver, "sm")]
 
     def test_preset_requires_name(self):
         ds = prepare_dataset(generate_synthetic(SMALL_SPEC), normalize=True)

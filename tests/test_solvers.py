@@ -913,6 +913,18 @@ class TestExtremeDataScale:
             with pytest.raises(NumericalError, match="SVT input overflowed.*data scale"):
                 solve_lrrsc(self._scaled(1e155), default_solver_config("lrrsc", lam=1e-160))
 
+    @pytest.mark.parametrize("name", ["lsr", "smr"])
+    def test_lsr_and_smr_name_the_overflowed_square(self, name):
+        # the largest singular value squares to inf, which no lam mends; the
+        # error comes before any overflow warns (the suite makes those errors)
+        X = DataMatrix(generate_synthetic(SyntheticSpec(3, 2, 10, 8, 0.01, 3)).matrix.values * 1e155)
+        message = (
+            f"^{name} cannot run: the largest singular value of X, [0-9.]+e\\+155, squares to "
+            "inf; the data scale is too large$"
+        )
+        with pytest.raises(NumericalError, match=message):
+            solvers.solve(name, X, default_solver_config(name))
+
     def test_lrrsc_admm_at_a_large_scale(self):
         # the row-space step forms no X^T X, so at 1e150 the ADMM stays finite.
         # At lam = 1e-160 the minimizer is C = 0, E = X: lam ||X^T Y||_2 < 1

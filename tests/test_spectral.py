@@ -117,6 +117,7 @@ class TestAffinityCheck:
         "W, message",
         [
             pytest.param(np.ones((3, 4)), "affinity matrix must be square, got (3, 4)", id="non-square"),
+            pytest.param(np.zeros((0, 0)), "affinity matrix is empty (0 x 0)", id="empty"),
             pytest.param(
                 np.where(np.eye(3) > 0, 1.0, np.nan),
                 "affinity matrix contains non-finite entries",
