@@ -35,7 +35,8 @@ class DataMatrix:
             raise DataError(f"data matrix must be 2-D, got shape {v.shape}")
         if v.shape[0] < 1 or v.shape[1] < 2:
             raise DataError(f"data matrix needs d >= 1 and n >= 2, got {v.shape}")
-        if not np.all(np.isfinite(v)):
+        # max propagates nan and shows +inf, min shows -inf: no d x n temporary
+        if not (np.isfinite(v.max()) and np.isfinite(v.min())):
             raise DataError("data matrix contains non-finite entries")
         object.__setattr__(self, "values", v)
 
@@ -168,8 +169,6 @@ def load_dataset(matrix_path, labels_path, format: str = "csv") -> Dataset:
         values = _load_matrix_csv(matrix_path)
     else:
         values = load_matrix_binary(matrix_path)
-    if not np.all(np.isfinite(values)):
-        raise DataError(f"matrix file {matrix_path} contains non-finite entries")
     truth = remap_labels(_load_labels(labels_path))
     matrix = DataMatrix(values)
     if matrix.n != len(truth):
@@ -195,28 +194,15 @@ def save_dataset(ds: Dataset, matrix_path, labels_path, format: str = "csv") -> 
     save_labels(ds.truth, labels_path)
 
 
-def _first_peaks(vectors: np.ndarray) -> np.ndarray:
-    """Each column's first largest-magnitude entry, the one np.argmax picks."""
-    return vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
-
-
 def canonical_signs(vectors: np.ndarray) -> np.ndarray:
     """Flip columns in place so each one's largest-magnitude entry is positive.
 
     Of tied entries the first one counts. Fixes the sign ambiguity of eigen-
     and singular vectors for reproducibility.
     """
-    vectors[:, _first_peaks(vectors) < 0] *= -1.0
+    peaks = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    vectors[:, peaks < 0] *= -1.0
     return vectors
-
-
-def _leading_eigenpairs(gram: np.ndarray, target_dim: int, X: DataMatrix):
-    """The eigenpairs of gram with the target_dim largest eigenvalues, largest
-    first, cut to those above max(d, n) * eps * the largest eigenvalue."""
-    evals, evecs = np.linalg.eigh(gram)
-    evals, evecs = evals[::-1][:target_dim], evecs[:, ::-1][:, :target_dim]
-    rank = np.count_nonzero(evals > max(X.d, X.n) * np.finfo(np.float64).eps * evals[0])
-    return evals[:rank], evecs[:, :rank]
 
 
 def pca_project(X: DataMatrix, target_dim: int) -> DataMatrix:
@@ -226,16 +212,14 @@ def pca_project(X: DataMatrix, target_dim: int) -> DataMatrix:
     variance. The directions come from the eigendecomposition of the smaller
     Gram matrix of the centered d x n data c: for d > n that is c^T c, whose
     eigenpair (lambda, v) gives the unit direction u = c v / sqrt(lambda) (the
-    snapshot method of eigenfaces), otherwise c c^T, whose eigenvectors are
-    the directions. A direction whose eigenvalue is at most
-    max(d, n) * eps * the largest one lies past the numerical rank; its row
-    is exactly zero. c is first scaled by an exact power of two so that the
-    Gram matrix can neither overflow nor underflow, and the result is scaled
-    back exactly.
-
-    For d > n no d x n copy of c is formed: c^T c is summed over blocks of
-    256 rows, a second pass over the blocks of c v / sqrt(lambda) finds each
-    direction's sign, and the row of u^T c is sqrt(lambda) v^T.
+    snapshot method of eigenfaces) and the row u^T c = sqrt(lambda) v^T;
+    otherwise c c^T, whose eigenvector u gives the row u^T c. For d > n no
+    d x n copy of c is formed: c^T c is summed over blocks of 256 rows. A
+    direction whose eigenvalue is at most max(d, n) * eps * the largest one
+    lies past the numerical rank; its row is exactly zero. Each row is
+    signed so that its first largest-magnitude entry is positive. c is first
+    scaled by an exact power of two so that the Gram matrix can neither
+    overflow nor underflow, and the result is scaled back exactly.
     """
     require("target_dim", target_dim, int, at_least=1, at_most=min(X.d, X.n))
     values = X.values
@@ -250,27 +234,20 @@ def pca_project(X: DataMatrix, target_dim: int) -> DataMatrix:
     if X.d <= X.n:
         centered = values - mean
         np.ldexp(centered, -exponent, out=centered)
-        evals, evecs = _leading_eigenpairs(centered @ centered.T, target_dim, X)
-        U = np.zeros((X.d, target_dim))
-        U[:, : evals.size] = evecs
-        return DataMatrix(np.ldexp(canonical_signs(U).T @ centered, exponent))
-
-    def scaled_blocks():
+        gram = centered @ centered.T
+    else:
+        gram = np.zeros((X.n, X.n))
         for start in range(0, X.d, _ROW_BLOCK):
             block = values[start : start + _ROW_BLOCK] - mean[start : start + _ROW_BLOCK]
-            yield np.ldexp(block, -exponent, out=block)
-
-    gram = np.zeros((X.n, X.n))
-    for block in scaled_blocks():
-        gram += block.T @ block
-    evals, evecs = _leading_eigenpairs(gram, target_dim, X)
-    to_directions = evecs / np.sqrt(evals)
-    # canonical_signs on u: the first largest magnitude of each block's rows,
-    # then the first largest of those
-    first = _first_peaks(np.array([_first_peaks(c @ to_directions) for c in scaled_blocks()]))
+            np.ldexp(block, -exponent, out=block)
+            gram += block.T @ block
+    evals, evecs = np.linalg.eigh(gram)
+    evals, evecs = evals[::-1][:target_dim], evecs[:, ::-1][:, :target_dim]
+    rank = np.count_nonzero(evals > max(X.d, X.n) * np.finfo(np.float64).eps * evals[0])
+    evals, evecs = evals[:rank], evecs[:, :rank]
     Y = np.zeros((target_dim, X.n))
-    Y[: evals.size] = np.where(first < 0, -1.0, 1.0)[:, None] * np.sqrt(evals)[:, None] * evecs.T
-    return DataMatrix(np.ldexp(Y, exponent))
+    Y[:rank] = evecs.T @ centered if X.d <= X.n else np.sqrt(evals)[:, None] * evecs.T
+    return DataMatrix(np.ldexp(canonical_signs(Y.T).T, exponent))
 
 
 def normalize_columns(X: DataMatrix) -> DataMatrix:

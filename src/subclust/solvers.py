@@ -255,19 +255,26 @@ def solve_ssc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
     convergence test, once A - C meets tol, and at the last iteration.
     Non-convergence within max_iter returns converged=False, not an error;
     a lambda_e outside (0, inf), from an X^T X that overflows or underflows,
-    raises NumericalError.
+    raises NumericalError, as does a nonzero column whose x_i^T x_i
+    underflows to 0.
     """
     Xv = X.values
     d, n = Xv.shape
-    # an overflowed norm is not zero, and an overflowed X^T X fails lambda_e's
-    # checks below, which name the data scale; neither warns
+    # an overflowed X^T X fails lambda_e's checks below, which name the data
+    # scale, without a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        zero = np.flatnonzero(np.linalg.norm(Xv, axis=0) == 0.0)
         offdiag = np.abs(_gram(X))
+    zero = np.flatnonzero(~np.any(Xv, axis=0))
     if zero.size:
         shown = ", ".join(map(str, zero[:10])) + (", ..." if zero.size > 10 else "")
         raise DataError(
             f"ssc requires nonzero columns; {zero.size} column(s) have zero norm, at index {shown}"
+        )
+    underflowed = np.count_nonzero(offdiag.diagonal() == 0.0)
+    if underflowed:  # no column is zero, so its x_i^T x_i underflowed
+        raise NumericalError(
+            f"ssc cannot run at lam={cfg.lam!r}: x_i^T x_i underflows to 0 for {underflowed} "
+            f"nonzero column(s); the data scale is too small"
         )
     np.fill_diagonal(offdiag, 0.0)
     mu_e = float(offdiag.max(axis=0).min())

@@ -38,12 +38,14 @@ def _pairwise_distances(values):
 
 
 def _pca_by_thin_svd(values, target_dim):
-    """Reference PCA: the top left singular vectors of the centered data, each
-    signed so that its largest-magnitude entry is positive."""
+    """Reference PCA: the centered data projected onto its top left singular
+    vectors, each row signed so that its first largest-magnitude entry is
+    positive."""
     centered = values - values.mean(axis=1, keepdims=True)
     U = np.linalg.svd(centered, full_matrices=False)[0][:, :target_dim]
-    peaks = U[np.argmax(np.abs(U), axis=0), np.arange(target_dim)]
-    return (U * np.sign(peaks)).T @ centered
+    Y = U.T @ centered
+    peaks = Y[np.arange(target_dim), np.argmax(np.abs(Y), axis=1)]
+    return Y * np.sign(peaks)[:, None]
 
 
 class TestLoadSave:
@@ -150,6 +152,14 @@ class TestValidation:
     def test_matrix_rejects_nan(self):
         with pytest.raises(DataError):
             DataMatrix(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [(0, 0), (2, 1), (4, 5)])
+    def test_matrix_rejects_nonfinite(self, bad, at):
+        values = np.random.default_rng(11).standard_normal((5, 6))
+        values[at] = bad
+        with pytest.raises(DataError, match="^data matrix contains non-finite entries$"):
+            DataMatrix(values)
 
     def test_labels_must_be_contiguous_range(self):
         with pytest.raises(DataError):
@@ -268,18 +278,25 @@ class TestPCA:
         assert np.all(Y[4:] == 0.0)
         assert np.abs(Y[:4] - _pca_by_thin_svd(values, 4)).max() <= 1e-10 * np.abs(values).max()
 
-    def test_wide_blocks_sign_tie_takes_the_first_peak(self):
-        # row 256 + i is -row i, so every direction's largest magnitude is
-        # tied between the two blocks, with opposite signs; the first counts
-        half = np.random.default_rng(9).standard_normal((256, 40)) * 3.0
-        values = np.vstack([half, -half])
-        centered = values - values.mean(axis=1, keepdims=True)
-        evals, evecs = np.linalg.eigh(centered.T @ centered)
-        U = centered @ (evecs[:, ::-1][:, :5] / np.sqrt(evals[::-1][:5]))
-        assert np.array_equal(U[256:], -U[:256])
-        expected = canonical_signs(U).T @ centered
-        Y = pca_project(DataMatrix(values), 5).values
-        assert np.abs(Y - expected).max() <= 1e-10 * np.abs(values).max()
+    @pytest.mark.parametrize("shape", [(30, 12), (12, 30), (513, 30)])
+    def test_each_row_first_peak_is_positive(self, shape):
+        values = np.random.default_rng(9).standard_normal(shape) * 3.0
+        Y = pca_project(DataMatrix(values), 8).values
+        assert np.all(Y[np.arange(8), np.argmax(np.abs(Y), axis=1)] > 0.0)
+        # negating X negates every row before it is signed
+        assert pca_project(DataMatrix(-values), 8).values.tobytes() == Y.tobytes()
+
+    @pytest.mark.parametrize("d", [2, 300])
+    def test_row_sign_tie_takes_the_first_peak(self, d):
+        # each output row holds one pair of entries of equal magnitude and
+        # opposite signs; the first of them counts
+        values = np.zeros((d, 4))
+        values[0] = [-3.0, 3.0, 0.0, 0.0]
+        values[1] = [0.0, 0.0, -1.0, 1.0]
+        Y = pca_project(DataMatrix(values), 2).values
+        assert Y[0, 0] == -Y[0, 1] and Y[1, 2] == -Y[1, 3]
+        expected = [[3.0, -3.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]]
+        assert np.abs(Y - expected).max() <= 1e-15 * 3.0
 
 
 def _canonical_signs_by_loop(vectors):
@@ -305,7 +322,8 @@ class TestCanonicalSigns:
 
 class TestSetupMemory:
     """Peak numpy heap of the set-up steps, as tracemalloc sees it, against
-    the size of X: the noise draw and wide PCA make no d x n temporary."""
+    the size of X: the noise draw, the check of X and wide PCA make no d x n
+    temporary."""
 
     SPEC = SyntheticSpec(4, 3, 4096, 16, 0.05, 0)
 
@@ -317,6 +335,17 @@ class TestSetupMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * ds.matrix.values.nbytes
+
+    def test_data_matrix_check_peak(self):
+        # the finiteness check reduces X, with no d x n bool array (0.125 x)
+        values = generate_synthetic(self.SPEC).matrix.values
+        tracemalloc.start()
+        try:
+            DataMatrix(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.01 * values.nbytes
 
     def test_pca_project_peak_above_its_entry(self):
         X = generate_synthetic(self.SPEC).matrix

@@ -4,8 +4,11 @@ Permuting the columns of X by P must give PCA output Y P, coefficients
 P^T C P and affinities P^T W P, up to rounding: the products sum in another
 order. Each bound sits a few times above the largest difference measured on
 these instances, noted beside it. Relabelling the truth must leave the
-accuracy bitwise equal.
+accuracy bitwise equal, and so must flipping the signs of rows of X, which
+only PCA's sign rule chooses, leave C, W and every trial.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from subclust import (
     generate_synthetic,
     pca_project,
     prepare_dataset,
+    run_grid,
     solve,
 )
 
@@ -84,6 +88,42 @@ class TestColumnPermutation:
             W_perm = build_affinity(affinity, C_perm, X_perm, acfg)
             bound = SVDM_SMALL_C_BOUND if (affinity, lam) == ("svdm", 0.05) else W_BOUND
             assert np.abs(W[block] - W_perm).max() <= bound, affinity
+
+
+def _flip_rows(ds, seed):
+    signs = np.where(np.random.default_rng(200 + seed).random(ds.matrix.d) < 0.5, -1.0, 1.0)
+    return replace(ds, matrix=DataMatrix(signs[:, None] * ds.matrix.values))
+
+
+class TestRowSigns:
+    """Every stage depends on X only through X^T X, the s and Vt of its SVD,
+    column norms and pairwise distances, so negating rows of X changes no bit
+    of C, W or the accuracies."""
+
+    @pytest.mark.parametrize("solver, lam", CELLS)
+    @pytest.mark.parametrize("seed", range(3))
+    def test_coefficients_and_affinities_are_bitwise_equal(self, solver, lam, seed):
+        ds, _ = _instance(seed)
+        X_flipped = _flip_rows(ds, seed).matrix
+        cfg = _config(solver, lam)
+        C = solve(solver, ds.matrix, cfg)
+        C_flipped = solve(solver, X_flipped, cfg)
+        assert C_flipped.values.tobytes() == C.values.tobytes()
+        assert C_flipped.report == C.report
+        for affinity in AFFINITIES:
+            W = build_affinity(affinity, C, ds.matrix, AffinityConfig())
+            W_flipped = build_affinity(affinity, C_flipped, X_flipped, AffinityConfig())
+            assert W_flipped.tobytes() == W.tobytes(), affinity
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_grid_trials_are_equal(self, seed):
+        ds, _ = _instance(seed)
+        grid = run_grid(ds, trials=3, master_seed=seed)
+        flipped = run_grid(_flip_rows(ds, seed), trials=3, master_seed=seed)
+        assert flipped.errors == grid.errors
+        assert {key: cell.per_trial for key, cell in flipped.cells.items()} == {
+            key: cell.per_trial for key, cell in grid.cells.items()
+        }
 
 
 class TestRelabelledTruth:

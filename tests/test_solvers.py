@@ -963,6 +963,25 @@ class TestExtremeDataScale:
         with pytest.raises(NumericalError, match="mu_e = .*e-32.*data scale is too small"):
             solve_ssc(self._scaled(1e-160), default_solver_config("ssc"))
 
+    # every square x_ij^2 underflows to 0 at these scales, so ||x_i|| and
+    # x_i^T x_i do too: no column is zero, and mu_e = 0 is no orthogonality
+    @pytest.mark.parametrize("scale", [1e-170, 1e-200])
+    def test_ssc_names_the_underflowed_gram_diagonal(self, scale):
+        X = self._scaled(scale)
+        assert X.values.any(axis=0).all()
+        with pytest.raises(NumericalError) as caught:
+            solve_ssc(X, default_solver_config("ssc"))
+        assert str(caught.value) == (
+            "ssc cannot run at lam=20.0: x_i^T x_i underflows to 0 for 45 nonzero column(s); "
+            "the data scale is too small"
+        )
+
+    def test_ssc_orthogonal_columns_still_warn(self):
+        X = DataMatrix(np.diag([3.0, 1e-150, 2.0]))
+        with pytest.warns(UserWarning, match="mutually orthogonal; using lambda_e = lam"):
+            C = solve_ssc(X, default_solver_config("ssc"))
+        assert C.report.converged and not C.values.any()
+
     @pytest.mark.parametrize(
         "spec, message",
         [
