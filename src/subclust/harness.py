@@ -10,7 +10,7 @@ is exactly reproducible.
 from __future__ import annotations
 
 import json
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from importlib import resources
 
 import numpy as np
@@ -125,40 +125,31 @@ def summarize_trials(accuracies, solver_converged: bool) -> ExperimentResult:
 class PresetTable:
     """Per-(dataset, solver, affinity) parameter presets for reproduction runs.
 
-    Each solver entry holds its lambda and, per affinity that takes
-    parameters, a block of AffinityConfig fields, such as
-    {"lambda": 0.2, "ssm": {"k_top": 7}, "svdm": {"alpha": 4.0}}.
+    A dataset block holds a pipeline of pca_dim (null: no PCA) and n_clusters,
+    and per solver its lambda plus an AffinityConfig block per affinity that
+    takes parameters: {"lambda": 0.2, "ssm": {"k_top": 7}, "svdm": {"alpha": 4.0}}.
     """
 
     def __init__(self, table: dict):
         self.table = table
         for name, block in table.items():
-            _reject_unknown(block, ("pipeline", "solvers"), f"preset block {name!r}")
-            if set(block) != {"pipeline", "solvers"}:
-                raise ConfigError(f"preset block {name!r} must have pipeline and solvers")
-            pipeline, solvers = block["pipeline"], block["solvers"]
-            _reject_unknown(pipeline, ("pca_dim", "n_clusters"), f"preset {name!r} pipeline")
-            if pipeline.get("pca_dim") is not None:
-                require(f"preset {name!r} pca_dim", pipeline["pca_dim"], int, at_least=1)
-            if "n_clusters" in pipeline:
-                require(f"preset {name!r} n_clusters", pipeline["n_clusters"], int, at_least=2)
-            _reject_unknown(solvers, SOLVER_COLUMNS, f"preset {name!r} solvers")
+            path = f"preset {name!r}"
+            _object(block, path, ("pipeline", "solvers"), ("pipeline", "solvers"))
+            keys = ("pca_dim", "n_clusters")
+            pipeline = _object(block["pipeline"], f"{path} pipeline", keys, keys)
+            if pipeline["pca_dim"] is not None:
+                require(f"{path} pca_dim", pipeline["pca_dim"], int, at_least=1)
+            require(f"{path} n_clusters", pipeline["n_clusters"], int, at_least=2)
+            solvers = _object(block["solvers"], f"{path} solvers", SOLVER_COLUMNS, SOLVER_COLUMNS)
             for solver in SOLVER_COLUMNS:
-                entry = solvers.get(solver)
-                context = f"preset {name!r}/{solver!r}"
-                _reject_unknown(entry, ("lambda", *AFFINITY_ROWS), context)
-                if "lambda" not in entry:
-                    raise ConfigError(f"{context} needs lambda")
-                for affinity in AFFINITY_ROWS:
-                    _reject_unknown(
-                        entry.get(affinity, {}), _AFFINITY_CONFIG_KEYS, f"{context}/{affinity!r}"
-                    )
+                solver_path = f"{path}/{solver!r}"
+                _object(solvers[solver], solver_path, ("lambda", *AFFINITY_ROWS), ("lambda",))
                 try:  # a bad value fails here, not in run_grid after other solvers' cells
                     self.solver_config(name, solver)
-                    for affinity in AFFINITY_ROWS:
-                        self.affinity_config(name, solver, affinity)
                 except ConfigError as exc:
-                    raise ConfigError(f"{context}: {exc}") from None
+                    raise ConfigError(f"{solver_path}: {exc}") from None
+                for affinity in AFFINITY_ROWS:
+                    self.affinity_config(name, solver, affinity)
 
     @classmethod
     def builtin(cls) -> "PresetTable":
@@ -188,14 +179,8 @@ class PresetTable:
 
     def affinity_config(self, dataset: str, solver: str, affinity: str) -> AffinityConfig:
         require_one_of("affinity", affinity, AFFINITY_ROWS)
-        return AffinityConfig(**self._entry(dataset, solver).get(affinity, {}))
-
-
-def materialize_dataset(source: DatasetFiles | SyntheticSpec) -> Dataset:
-    """Load the dataset files or generate the synthetic instance."""
-    if isinstance(source, SyntheticSpec):
-        return generate_synthetic(source)
-    return load_dataset(source.matrix_path, source.labels_path, source.format)
+        block = self._entry(dataset, solver).get(affinity, {})
+        return _from_json(AffinityConfig, block, f"preset {dataset!r}/{solver!r}/{affinity!r}")
 
 
 def _score_cell(ds, C, affinity, acfg, k, seeds):
@@ -219,7 +204,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     matrix, the affinity and the trial-0 labels. n_clusters is checked
     against the number of points before the solve.
     """
-    ds = prepare_dataset(materialize_dataset(cfg.dataset), cfg.pca_dim, cfg.normalize)
+    src = cfg.dataset
+    ds = generate_synthetic(src) if isinstance(src, SyntheticSpec) else load_dataset(**asdict(src))
+    ds = prepare_dataset(ds, cfg.pca_dim, cfg.normalize)  # the raw matrix is freed before the solve
     require("n_clusters", cfg.n_clusters, int, at_least=2, at_most=ds.matrix.n)
     C = solve(cfg.solver, ds.matrix, cfg.solver_config or default_solver_config(cfg.solver))
     seeds = [trial_seed(cfg.master_seed, i) for i in range(cfg.trials)]
@@ -314,56 +301,54 @@ def emit_table(grid: GridResult, format: str = "console") -> str:
 _SOLVER_CONFIG_KEYS = {
     "lambda" if f.name == "lam" else f.name: f.name for f in fields(SolverConfig)
 }
-_AFFINITY_CONFIG_KEYS = tuple(f.name for f in fields(AffinityConfig))
-_SYNTHETIC_KEYS = tuple(f.name for f in fields(SyntheticSpec))
-_TOP_LEVEL_KEYS = tuple(f.name for f in fields(ExperimentConfig))
 
 
-def _reject_unknown(obj: dict, allowed, context: str) -> None:
+def _object(obj, context: str, allowed, required=()) -> dict:
+    """Return obj, a JSON object whose keys are all allowed and include every required one."""
     if not isinstance(obj, dict):
         raise ConfigError(f"{context} must be an object")
     unknown = set(obj) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {context}")
-
-
-def _require_keys(obj: dict, cls, context: str) -> None:
-    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in obj]
+    missing = [key for key in required if key not in obj]
     if missing:
         raise ConfigError(f"required key(s) {missing} missing in {context}")
+    return obj
 
 
-def _parse_dataset(obj: dict) -> DatasetFiles | SyntheticSpec:
-    _reject_unknown(obj, ("synthetic", "matrix_path", "labels_path", "format"), "dataset")
-    if "synthetic" in obj:
-        _reject_unknown(obj, ("synthetic",), "dataset")
-        spec = obj["synthetic"]
-        _reject_unknown(spec, _SYNTHETIC_KEYS, "dataset.synthetic")
-        _require_keys(spec, SyntheticSpec, "dataset.synthetic")
-        return SyntheticSpec(**spec)
-    _require_keys(obj, DatasetFiles, "dataset")
-    return DatasetFiles(**obj)
+def _field_names(cls) -> tuple[list, list]:  # all, and the required: those with no default
+    return [f.name for f in fields(cls)], [f.name for f in fields(cls) if f.default is MISSING]
+
+
+def _from_json(cls, obj, context: str):
+    """Build the dataclass cls from a JSON object of its fields; a bad value names context."""
+    kwargs = _object(obj, context, *_field_names(cls))
+    try:
+        return cls(**kwargs)
+    except ConfigError as exc:
+        raise ConfigError(f"{context}: {exc}") from None
 
 
 def parse_experiment_config(obj: dict) -> ExperimentConfig:
     """Build an ExperimentConfig from a JSON-style dict.
 
-    Unknown or missing keys, a section that is not an object and a setting of
-    the wrong type or out of range (such as "lambda": true) raise ConfigError.
+    Each section is read as a preset table is: one that is not an object, an
+    unknown or missing key and a bad value ("lambda": true) raise ConfigError.
     """
-    _reject_unknown(obj, _TOP_LEVEL_KEYS, "experiment config")
-    _require_keys(obj, ExperimentConfig, "experiment config")
-    kwargs = {key: obj[key] for key in _TOP_LEVEL_KEYS if key in obj}
+    kwargs = dict(_object(obj, "experiment config", *_field_names(ExperimentConfig)))
     if "solver_config" in obj:
-        raw = obj["solver_config"]
-        _reject_unknown(raw, _SOLVER_CONFIG_KEYS, "solver_config")
-        kwargs["solver_config"] = default_solver_config(
-            obj["solver"], **{_SOLVER_CONFIG_KEYS[key]: value for key, value in raw.items()}
-        )
+        raw = _object(obj["solver_config"], "solver_config", _SOLVER_CONFIG_KEYS)
+        renamed = {_SOLVER_CONFIG_KEYS[key]: value for key, value in raw.items()}
+        kwargs["solver_config"] = default_solver_config(obj["solver"], **renamed)
     if "affinity_config" in obj:
-        _reject_unknown(obj["affinity_config"], _AFFINITY_CONFIG_KEYS, "affinity_config")
-        kwargs["affinity_config"] = AffinityConfig(**obj["affinity_config"])
-    kwargs["dataset"] = _parse_dataset(obj["dataset"])
+        raw = obj["affinity_config"]
+        kwargs["affinity_config"] = _from_json(AffinityConfig, raw, "affinity_config")
+    dataset = obj["dataset"]
+    if isinstance(dataset, dict) and "synthetic" in dataset:
+        spec = _object(dataset, "dataset", ("synthetic",))["synthetic"]
+        kwargs["dataset"] = _from_json(SyntheticSpec, spec, "dataset.synthetic")
+    else:
+        kwargs["dataset"] = _from_json(DatasetFiles, dataset, "dataset")
     return ExperimentConfig(**kwargs)
 
 

@@ -395,6 +395,31 @@ class TestGrid:
         assert err.value.code == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "preset, shape, overrides",
+        [
+            ("usps", ["--ambient", "30", "--points", "6"], {}),  # n = 60, no PCA
+            ("yaleb", ["--ambient", "80", "--points", "7"], {}),  # 80 x 70, PCA to 60
+            ("yaleb", ["--ambient", "80", "--points", "7"], {"pca": 20, "clusters": 5}),
+        ],
+        ids=["usps", "yaleb", "yaleb-flags-override"],
+    )
+    def test_preset_grid(self, tmp_path, capsys, preset, shape, overrides):
+        out = str(tmp_path / "data")
+        synth = ["synth", "--subspaces", "10", "--dim", "3", *shape, "--noise", "0.05"]
+        assert main([*synth, "--out", out]) == 0
+        flags = [arg for key, value in overrides.items() for arg in (f"--{key}", str(value))]
+        grid = ["grid", "--dataset", f"{out}.csv", "--labels", f"{out}.labels", "--trials", "2"]
+        capsys.readouterr()
+        assert main([*grid, "--preset", preset, *flags]) == 0
+        presets = harness.PresetTable.builtin()
+        pipeline = presets.pipeline(preset)
+        ds = load_dataset(f"{out}.csv", f"{out}.labels")
+        ds = prepare_dataset(ds, overrides.get("pca", pipeline["pca_dim"]))
+        n_clusters = overrides.get("clusters", pipeline["n_clusters"])
+        grid = harness.run_grid(ds, presets, 2, 0, preset_name=preset, n_clusters=n_clusters)
+        assert capsys.readouterr().out == harness.emit_table(grid)
+
     def test_pca_applied(self, tmp_path):
         matrix, labels = _write_synth(tmp_path)
         out = tmp_path / "grid.csv"

@@ -1,4 +1,5 @@
-"""The two checks of settings: `require` (type and range) and `require_one_of` (names)."""
+"""The two checks of settings (`require` for type and range, `require_one_of` for
+names) and the exact message of each error site that no other test reaches."""
 
 import re
 
@@ -6,13 +7,17 @@ import numpy as np
 import pytest
 
 from subclust import (
+    AffinityConfig,
     DataMatrix,
     ExperimentConfig,
     GridResult,
+    LabelVector,
     PresetTable,
     SyntheticSpec,
     build_affinity,
+    build_ipm,
     build_knn_laplacian,
+    clustering_accuracy,
     default_solver_config,
     emit_table,
     generate_synthetic,
@@ -26,7 +31,8 @@ from subclust import (
     spectral_embed,
     top_k_per_column,
 )
-from subclust.errors import ConfigError, require_one_of
+from subclust.data import load_matrix_binary
+from subclust.errors import ConfigError, DataError, NumericalError, require_one_of
 
 SPEC = SyntheticSpec(2, 1, 3, 2)
 
@@ -89,6 +95,81 @@ RANGE_SITES = [
 @pytest.mark.parametrize("call, message", RANGE_SITES)
 def test_data_dependent_bounds(call, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def _sscb_version_9(tmp):
+    path = tmp / "m.bin"
+    path.write_bytes(b"SSCB" + bytes([9]) + bytes(8))
+    return path
+
+
+def _labels_file(tmp):
+    (tmp / "m.csv").write_text("1,2\n3,4\n")
+    (tmp / "l.txt").write_text("0\nx\n")
+    return tmp / "m.csv", tmp / "l.txt"
+
+
+# the raises no other test reaches: (call given a tmp_path, error, message with {tmp});
+# a message that ends in ": " goes on with numpy's own reason, which varies by version
+SITES = [
+    (lambda tmp: DataMatrix(np.ones(3)), DataError, "data matrix must be 2-D, got shape (3,)"),
+    (lambda tmp: LabelVector(np.zeros(2), 0), DataError, "label vector needs k >= 1, got k=0"),
+    (lambda tmp: LabelVector(np.zeros(0), 2), DataError, "label vector is empty"),
+    (
+        lambda tmp: load_matrix_binary(_sscb_version_9(tmp)),
+        DataError,
+        "unsupported SSCB version 9 in {tmp}/m.bin",
+    ),
+    (
+        lambda tmp: load_dataset(*_labels_file(tmp)),
+        DataError,
+        "malformed labels file {tmp}/l.txt: ",
+    ),
+    (lambda tmp: kmeans(np.zeros(4), 2, [0]), ConfigError, "points must be a 2-D array"),
+    (lambda tmp: clustering_accuracy([], []), DataError, "empty label vectors"),
+    (
+        lambda tmp: build_ipm(np.eye(3), _X(4, 5), AffinityConfig()),
+        DataError,
+        "data matrix has 5 samples but C is 3x3",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, error, message", SITES)
+def test_unreached_error_sites(tmp_path, call, error, message):
+    with pytest.raises(error) as info:
+        call(tmp_path)
+    assert info.type is error
+    text, expected = str(info.value), message.format(tmp=tmp_path)
+    assert text == expected or (expected.endswith(": ") and text.startswith(expected))
+
+
+def _linalg_fails(*args, **kwargs):
+    raise np.linalg.LinAlgError("did not converge")
+
+
+# each LinAlgError -> NumericalError wrapper: (the np.linalg routine that fails, call, message)
+LINALG_SITES = [
+    ("svd", lambda: singular_value_threshold(np.eye(3), 0.5), "SVD failed"),
+    (
+        "eigh",
+        lambda: solve("smr", _X(4, 6), default_solver_config("smr")),
+        "eigendecomposition failed",
+    ),
+    ("svd", lambda: build_affinity("svdm", np.eye(3)), "SVD of the coefficient matrix failed"),
+    (
+        "eigh",
+        lambda: spectral_embed(np.ones((3, 3)), 2),
+        "eigendecomposition of the Laplacian failed",
+    ),
+]
+
+
+@pytest.mark.parametrize("routine, call, message", LINALG_SITES)
+def test_linalg_failure_is_a_numerical_error(monkeypatch, routine, call, message):
+    monkeypatch.setattr(np.linalg, routine, _linalg_fails)
+    with pytest.raises(NumericalError, match=f"^{re.escape(message)}: did not converge$"):
         call()
 
 

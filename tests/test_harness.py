@@ -1,6 +1,8 @@
 """Experiment harness tests: presets, trial statistics, the grid, emission."""
 
 import json
+import re
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -189,6 +191,66 @@ class TestPresets:
             PresetTable(raw)
 
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            # subclust grid --preset reads both keys of the pipeline by subscript
+            (
+                lambda raw: raw["yaleb"]["pipeline"].pop("pca_dim"),
+                "required key(s) ['pca_dim'] missing in preset 'yaleb' pipeline",
+            ),
+            (
+                lambda raw: raw["usps"]["pipeline"].pop("n_clusters"),
+                "required key(s) ['n_clusters'] missing in preset 'usps' pipeline",
+            ),
+            (
+                lambda raw: raw["yaleb"]["solvers"].pop("ssc"),
+                "required key(s) ['ssc'] missing in preset 'yaleb' solvers",
+            ),
+            (
+                lambda raw: raw["yaleb"].pop("solvers"),
+                "required key(s) ['solvers'] missing in preset 'yaleb'",
+            ),
+            (
+                lambda raw: raw["ar"]["solvers"]["lrrsc"].pop("lambda"),
+                "required key(s) ['lambda'] missing in preset 'ar'/'lrrsc'",
+            ),
+            (
+                lambda raw: raw["ar"]["solvers"]["lrrsc"].update(ssm={"k": 5}),
+                "unknown key(s) ['k'] in preset 'ar'/'lrrsc'/'ssm'",
+            ),
+            (
+                lambda raw: raw["ar"]["solvers"]["lrrsc"].update(ssm=5),
+                "preset 'ar'/'lrrsc'/'ssm' must be an object",
+            ),
+            (
+                lambda raw: raw["ar"]["solvers"]["lrrsc"]["ssm"].update(k_top=0),
+                "preset 'ar'/'lrrsc'/'ssm': k_top must be >= 1, got 0",
+            ),
+            (
+                lambda raw: raw["ar"]["solvers"]["lrrsc"].update({"lambda": -1.0}),
+                "preset 'ar'/'lrrsc': lam must be > 0, got -1.0",
+            ),
+        ],
+        ids=[
+            "pipeline-without-pca-dim",
+            "pipeline-without-n-clusters",
+            "missing-solver",
+            "missing-solvers",
+            "missing-lambda",
+            "unknown-affinity-key",
+            "affinity-not-object",
+            "bad-affinity-value",
+            "bad-lambda",
+        ],
+    )
+    def test_messages_name_the_path_once(self, edit, message):
+        raw = json.loads(json.dumps(PresetTable.builtin().table))
+        edit(raw)
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            PresetTable(raw)
+
+
 class TestTrialSeeds:
     def test_deterministic_and_distinct(self):
         seeds = [trial_seed(42, i) for i in range(20)]
@@ -235,6 +297,24 @@ class TestRunExperiment:
         monkeypatch.setattr(harness, "solve", _no_solve)
         with pytest.raises(ConfigError, match=r"n_clusters must be in 2\.\.36, got 37"):
             run_experiment(_small_config(n_clusters=37))
+
+    def test_raw_matrix_freed_before_the_solve(self, monkeypatch):
+        # else the unprepared d x n matrix stays alive through the solve and the trials
+        raw = []
+        real_generate, real_solve = harness.generate_synthetic, harness.solve
+
+        def generate(spec):
+            ds = real_generate(spec)
+            raw.append(weakref.ref(ds.matrix))
+            return ds
+
+        def solve(solver, X, cfg):
+            assert raw[0]() is None
+            return real_solve(solver, X, cfg)
+
+        monkeypatch.setattr(harness, "generate_synthetic", generate)
+        monkeypatch.setattr(harness, "solve", solve)
+        assert len(run_experiment(_small_config()).per_trial) == 5
 
 
 class TestRunGrid:
@@ -307,6 +387,48 @@ class TestRunGrid:
         assert "mu_e = inf; the data scale is too large" in grid.errors[("ssc", "sm")]
         for solver in ("lsr", "smr"):
             assert "squares to inf; the data scale is too large" in grid.errors[(solver, "sm")]
+
+    def test_presets_reach_every_cell(self, monkeypatch):
+        raw = json.loads(json.dumps(PresetTable.builtin().table))
+        # a distinct setting per cell, so a cell given another cell's settings shows
+        for i, entry in enumerate(raw["usps"]["solvers"].values()):
+            entry.update(ssm={"k_top": 6 + i}, svdm={"alpha": 2.0 + i}, ipm={"alpha": 0.25 + i / 2})
+        presets = PresetTable(raw)
+        real_solve, real_build = harness.solve, harness.build_affinity
+        solved, seen = {}, {}
+
+        def spy_solve(solver, X, cfg):
+            C = real_solve(solver, X, cfg)
+            solved[id(C)] = (solver, cfg)
+            return C
+
+        def spy_build(affinity, C, X, cfg):
+            solver, scfg = solved[id(C)]
+            seen[(solver, affinity)] = (scfg, cfg)
+            return real_build(affinity, C, X, cfg)
+
+        monkeypatch.setattr(harness, "solve", spy_solve)
+        monkeypatch.setattr(harness, "build_affinity", spy_build)
+        ds = prepare_dataset(generate_synthetic(SMALL_SPEC), normalize=True)
+        grid = run_grid(ds, presets, trials=1, preset_name="usps")
+        expected = {
+            (s, a): (presets.solver_config("usps", s), presets.affinity_config("usps", s, a))
+            for s in SOLVER_COLUMNS
+            for a in AFFINITY_ROWS
+        }
+        assert len(set(expected.values())) == 16
+        assert seen == expected
+        assert len(grid.cells) == 16 and not grid.errors
+
+    def test_cell_failing_after_its_solve_is_recorded(self):
+        raw = json.loads(json.dumps(PresetTable.builtin().table))
+        raw["usps"]["solvers"]["lsr"]["ssm"]["k_top"] = 500
+        ds = prepare_dataset(generate_synthetic(SyntheticSpec(3, 3, 24, 10, 0.0, seed=4)))
+        grid = run_grid(ds, PresetTable(raw), trials=2, preset_name="usps")  # n = 30
+        assert grid.errors == {("lsr", "ssm"): "ConfigError: k_top must be in 1..30, got 500"}
+        assert set(grid.cells) == {
+            (s, a) for s in SOLVER_COLUMNS for a in AFFINITY_ROWS if (s, a) != ("lsr", "ssm")
+        }
 
     def test_preset_requires_name(self):
         ds = prepare_dataset(generate_synthetic(SMALL_SPEC), normalize=True)
