@@ -81,26 +81,31 @@ def build_svdm(C, cfg: AffinityConfig) -> np.ndarray:
     """
     cv = _coeff_values(C)
     try:
-        U, s, _ = np.linalg.svd(cv, full_matrices=False)
+        U, s = np.linalg.svd(cv, full_matrices=False)[:2]
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD of the coefficient matrix failed: {exc}") from exc
     n = cv.shape[0]
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((n, n))
     keep = s >= 1e-4 * s[0]
-    root = np.sqrt(s[keep])
-    vectors = U[:, keep] * root[None, :]  # rows of M = U * sqrt(S)
-    gram = vectors @ vectors.T
-    gram = (gram + gram.T) / 2.0
+    vectors = U[:, keep]
+    del U
+    vectors *= np.sqrt(s[keep])[None, :]  # rows of M = U * sqrt(S)
     norms = np.linalg.norm(vectors, axis=1)
+    # the n x n steps run in place, each the same operation as out of place
+    cos = vectors @ vectors.T
+    del vectors
+    cos += cos.T  # numpy buffers the overlapping transpose
+    cos /= 2.0
     # rows this far below scale are SVD noise; their direction is meaningless
     live = norms > 1e-8 * norms.max()
-    denom = np.outer(norms, norms)
     nz = np.outer(live, live)
-    cos = np.zeros((n, n))
-    cos[nz] = np.abs(gram[nz]) / denom[nz]
+    np.abs(cos, out=cos)
+    np.divide(cos, np.outer(norms, norms), out=cos, where=nz)
+    cos[~nz] = 0.0
     np.clip(cos, 0.0, 1.0, out=cos)
-    return cos ** (2.0 * cfg.alpha)
+    cos **= 2.0 * cfg.alpha
+    return cos
 
 
 def build_ipm(C, X: DataMatrix | None, cfg: AffinityConfig) -> np.ndarray:

@@ -148,7 +148,8 @@ def save_matrix_binary(values: np.ndarray, path) -> None:
         fh.write(BINARY_MAGIC)
         fh.write(bytes([BINARY_VERSION]))
         fh.write(struct.pack("<II", d, n))
-        fh.write(values.astype("<f8").tobytes(order="F"))
+        # no copy where values is already little-endian, so tobytes makes the one copy
+        fh.write(values.astype("<f8", copy=False).tobytes(order="F"))
 
 
 def _load_labels(path) -> np.ndarray:

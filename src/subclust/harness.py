@@ -132,7 +132,7 @@ class PresetTable:
 
     def __init__(self, table: dict):
         self.table = table
-        for name, block in table.items():
+        for name, block in _object(table, "preset table", allowed=table).items():
             path = f"preset {name!r}"
             _object(block, path, ("pipeline", "solvers"), ("pipeline", "solvers"))
             keys = ("pca_dim", "n_clusters")
@@ -339,7 +339,13 @@ def parse_experiment_config(obj: dict) -> ExperimentConfig:
     if "solver_config" in obj:
         raw = _object(obj["solver_config"], "solver_config", _SOLVER_CONFIG_KEYS)
         renamed = {_SOLVER_CONFIG_KEYS[key]: value for key, value in raw.items()}
-        kwargs["solver_config"] = default_solver_config(obj["solver"], **renamed)
+        defaults = default_solver_config(obj["solver"])
+        try:
+            kwargs["solver_config"] = replace(defaults, **renamed)
+        except ConfigError as exc:  # require() names the field first, as lam
+            field, rest = str(exc).split(" ", 1)
+            key = "lambda" if field == "lam" else field
+            raise ConfigError(f"solver_config: {key} {rest}") from None
     if "affinity_config" in obj:
         raw = obj["affinity_config"]
         kwargs["affinity_config"] = _from_json(AffinityConfig, raw, "affinity_config")

@@ -132,8 +132,13 @@ def build_knn_laplacian(X: DataMatrix, k_graph: int, epsilon: float) -> np.ndarr
     np.fill_diagonal(d2, np.inf)
     kth = np.partition(d2, k_graph - 1, axis=1)[:, [k_graph - 1]]
     W = d2 <= kth
-    W = np.maximum(W, W.T).astype(np.float64)
-    return np.diag(W.sum(axis=1) + epsilon) - W
+    del d2
+    W |= W.T  # numpy buffers the overlapping transpose
+    # 0 - W, not -W, keeps the off-diagonal zeros +0.0; W's diagonal is 0
+    L = np.zeros((n, n))
+    L -= W
+    np.fill_diagonal(L, W.sum(axis=1) + epsilon)
+    return L
 
 
 def _thin_svd(Xv: np.ndarray):
@@ -175,8 +180,11 @@ def _squared_singular_values(s: np.ndarray, solver: str) -> np.ndarray:
 
 
 def _gram(X: DataMatrix) -> np.ndarray:
+    """(G + G^T) / 2 of G = X^T X, formed in place; numpy buffers the overlapping G^T."""
     G = X.values.T @ X.values
-    return (G + G.T) / 2.0
+    G += G.T
+    G /= 2.0
+    return G
 
 
 def _result(C, solver: str, cfg: SolverConfig, report: SolverReport) -> CoefficientMatrix:
@@ -199,12 +207,17 @@ def solve_lsr(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
     Minimizes ||X - XC||_F^2 + lam*||C||_F^2. With X = U diag(s) Vt, the
     minimizer (G + lam I)^-1 G of G = X^T X is Vt^T diag(s^2 / (s^2 + lam)) Vt.
     """
-    _, s, Vt = _thin_svd(X.values)
+    s, Vt = _thin_svd(X.values)[1:]
     s2 = _squared_singular_values(s, "lsr")
     G = _gram(X)
     scale = max(1.0, np.max(np.abs(G)))
     C = (Vt.T * (s2 / (s2 + cfg.lam))) @ Vt
-    resid = np.max(np.abs(G @ C + cfg.lam * C - G)) / scale
+    R = G @ C  # G C + lam C - G, in one buffer
+    R += cfg.lam * C
+    R -= G
+    del G
+    resid = np.max(np.abs(R, out=R)) / scale
+    del R
 
     fit = X.values - X.values @ C
     objective = float(np.sum(fit * fit) + cfg.lam * np.sum(C * C))
@@ -221,11 +234,9 @@ def solve_smr(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
     by eigendecomposing L_hat and taking the thin SVD of X; the null
     directions of X have zero gain.
     """
-    _, s, Vt = _thin_svd(X.values)
+    s, Vt = _thin_svd(X.values)[1:]
     s2 = _squared_singular_values(s, "smr")
     L_hat = build_knn_laplacian(X, min(4, X.n - 1), 0.01)
-    G = _gram(X)
-    scale = max(1.0, np.max(np.abs(G)))
     try:
         theta, Q = np.linalg.eigh(L_hat)
     except np.linalg.LinAlgError as exc:
@@ -234,12 +245,24 @@ def solve_smr(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
     lam_g = cfg.lam * s2[:, None]
     gain = lam_g / (lam_g + theta[None, :])
     C = Vt.T @ (gain * (Vt @ Q)) @ Q.T
-
+    del Q
     CL = C @ L_hat
-    R = cfg.lam * (G @ C) + CL - cfg.lam * G
-    resid = np.max(np.abs(R)) / scale
+    del L_hat
+
+    # the n x n steps run in place, each the same operation in the same order
+    G = _gram(X)
+    scale = max(1.0, np.max(np.abs(G)))
+    R = G @ C  # lam (G C) + C L_hat - lam G
+    R *= cfg.lam
+    R += CL
+    G *= cfg.lam
+    R -= G
+    del G
+    resid = np.max(np.abs(R, out=R)) / scale
+    del R
     fit = X.values - X.values @ C
-    objective = float(cfg.lam * np.sum(fit * fit) + np.sum(CL * C))  # tr(C L_hat C^T)
+    CL *= C
+    objective = float(cfg.lam * np.sum(fit * fit) + np.sum(CL))  # tr(C L_hat C^T)
     return _one_step(C, "smr", resid, objective, cfg)
 
 

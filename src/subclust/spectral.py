@@ -56,8 +56,10 @@ def spectral_embed(W, n_clusters: int) -> np.ndarray:
         )
     inv_root = np.zeros(n)
     inv_root[~isolated] = 1.0 / np.sqrt(degrees[~isolated])
-    sym = inv_root[:, None] * values * inv_root[None, :]
-    sym = (sym + sym.T) / 2.0
+    sym = inv_root[:, None] * values
+    sym *= inv_root[None, :]
+    sym += sym.T  # numpy buffers the overlapping transpose
+    sym /= 2.0
     try:
         eigvals, eigvecs = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
@@ -132,8 +134,9 @@ def _lloyd(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndar
     n, d = points.shape
     chains, k = centers.shape[:2]
     scaled, norms = -2.0 * points, np.sum(points * points, axis=1)
-    # column j of the points once per chain, as bincount weights
-    columns = np.tile(points.T, (1, chains))
+    columns = np.ascontiguousarray(points.T)
+    # column j of the points once per active chain, refilled as bincount weights
+    weights = np.empty((chains, n))
     out_labels = np.empty((chains, n), dtype=np.intp)
     out_dist = np.empty((chains, n))
     active = np.arange(chains)
@@ -146,7 +149,8 @@ def _lloyd(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, np.ndar
         counts = np.bincount(bins, minlength=m * k).reshape(m, k)
         sums = np.empty((m * k, d))
         for j in range(d):
-            sums[:, j] = np.bincount(bins, weights=columns[j, : m * n], minlength=m * k)
+            weights[:m] = columns[j]
+            sums[:, j] = np.bincount(bins, weights=weights[:m].ravel(), minlength=m * k)
         present = counts > 0
         centers[present] = sums.reshape(m, k, d)[present] / counts[present, None]
         # re-seed the empty clusters at the chain's worst-served point

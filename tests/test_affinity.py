@@ -1,16 +1,22 @@
 """Affinity builder tests: formula checks, invariance properties, degeneracies."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from subclust import (
     AffinityConfig,
+    SyntheticSpec,
     build_affinity,
     build_ipm,
     build_sm,
     build_ssm,
     build_svdm,
+    default_solver_config,
+    generate_synthetic,
     normalize_columns,
+    solve_smr,
 )
 from subclust.affinity import _AFFINITIES, AFFINITIES, top_k_per_column
 from subclust.data import DataMatrix
@@ -71,7 +77,64 @@ class TestSSM:
             top_k_per_column(np.ones((3, 3)), 4)
 
 
+def _svdm_out_of_place(C, alpha):
+    """Reference svdm, each n x n step out of place."""
+    U, s, _ = np.linalg.svd(C, full_matrices=False)
+    n = C.shape[0]
+    keep = s >= 1e-4 * s[0]
+    vectors = U[:, keep] * np.sqrt(s[keep])[None, :]
+    gram = vectors @ vectors.T
+    gram = (gram + gram.T) / 2.0
+    norms = np.linalg.norm(vectors, axis=1)
+    live = norms > 1e-8 * norms.max()
+    denom = np.outer(norms, norms)
+    nz = np.outer(live, live)
+    cos = np.zeros((n, n))
+    cos[nz] = np.abs(gram[nz]) / denom[nz]
+    np.clip(cos, 0.0, 1.0, out=cos)
+    return cos ** (2.0 * alpha)
+
+
+def _smr_coefficients_at_n500():
+    ds = generate_synthetic(SyntheticSpec(10, 5, 256, 50, 0.08, seed=0))
+    return solve_smr(normalize_columns(ds.matrix), default_solver_config("smr")).values
+
+
+def _dead_row(seed):
+    C = _random_coeff(seed, n=12)
+    C[4, :] = 0.0
+    C[:, 4] = 0.0
+    return C
+
+
+def _low_rank(seed):  # some singular values fall below 1e-4 * s[0] and are dropped
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((15, 3)) @ rng.standard_normal((3, 15))
+
+
 class TestSVDM:
+    @pytest.mark.parametrize("alpha", [1.0, 3.0])
+    @pytest.mark.parametrize(
+        "C",
+        [_random_coeff(3, n=20), _dead_row(4), _low_rank(5)],
+        ids=["random", "dead-row", "low-rank"],
+    )
+    def test_matches_out_of_place_bitwise(self, C, alpha):
+        W = build_svdm(C, AffinityConfig(alpha=alpha))
+        assert W.tobytes() == _svdm_out_of_place(C, alpha).tobytes()
+
+    def test_peak_at_n500(self):
+        # the SVD's U and Vt (its LAPACK work is not traced); before the
+        # in-place steps 7.6
+        C = _smr_coefficients_at_n500()
+        tracemalloc.start()
+        try:
+            build_svdm(C, AffinityConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.4 * C.nbytes
+
     def test_rank_one_all_ones(self):
         rng = np.random.default_rng(4)
         u = rng.standard_normal(6)

@@ -218,8 +218,7 @@ class TestRun:
         self, tmp_path, capsys, monkeypatch, section, key, value
     ):
         path = self._config(tmp_path, **{section: {key: value}})
-        field = "lam" if key == "lambda" else key
-        with pytest.raises(ConfigError, match=f"{field} has the wrong type"):
+        with pytest.raises(ConfigError, match=f"^{section}: {key} has the wrong type"):
             parse_experiment_config(json.loads(path.read_text()))
 
         def no_solve(solver, X, cfg):

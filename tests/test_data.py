@@ -1,5 +1,6 @@
 """Dataset I/O, preprocessing, and synthetic generation tests."""
 
+import struct
 import tracemalloc
 import warnings
 
@@ -89,6 +90,26 @@ class TestLoadSave:
         assert blob[:4] == b"SSCB" and blob[4] == 1
         assert len(blob) == 13 + 8 * 4 * 6
         assert load_matrix_binary(tmp_path / "m.bin").shape == (4, 6)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "big-endian"])
+    def test_binary_bytes(self, tmp_path, layout):
+        values = np.random.default_rng(8).standard_normal((5, 7))
+        values = {"C": values, "F": np.asfortranarray(values), "big-endian": values.astype(">f8")}[
+            layout
+        ]
+        save_matrix_binary(values, tmp_path / "m.bin")
+        data = np.asarray(values, dtype=np.float64).astype("<f8").tobytes(order="F")
+        assert (tmp_path / "m.bin").read_bytes() == b"SSCB\x01" + struct.pack("<II", 5, 7) + data
+
+    def test_binary_save_makes_one_copy(self, tmp_path):
+        values = np.random.default_rng(8).standard_normal((500, 500))
+        tracemalloc.start()
+        try:
+            save_matrix_binary(values, tmp_path / "m.bin")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * values.nbytes
 
     def test_csv_round_trip_precision(self, tmp_path):
         ds = _random_dataset(seed=4)

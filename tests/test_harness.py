@@ -109,6 +109,11 @@ class TestPresets:
         with pytest.raises(ConfigError):
             PresetTable({"x": {"pipeline": {}, "solvers": {"lsr": {"lambda": 1.0}}}})
 
+    @pytest.mark.parametrize("table", [[], 5, "yaleb", None])
+    def test_table_that_is_no_object(self, table):
+        with pytest.raises(ConfigError, match="^preset table must be an object$"):
+            PresetTable(table)
+
     # the flat layout the table had before its affinity blocks used AffinityConfig
     # field names: (lambda, ssm_k, svdm_alpha, ipm_alpha) per dataset and solver
     FLAT = {
@@ -680,6 +685,20 @@ class TestConfigParsing:
         blob = json.loads(json.dumps(self.FULL))
         mutate(blob)
         with pytest.raises(ConfigError, match="must be an object|wrong type"):
+            parse_experiment_config(blob)
+
+    @pytest.mark.parametrize(
+        "solver_config, message",
+        [
+            ({"lambda": -1}, "solver_config: lambda must be > 0, got -1"),
+            ({"lambda": "1"}, "solver_config: lambda has the wrong type: expected a finite number"),
+            ({"tol": 0}, "solver_config: tol must be > 0, got 0"),
+            ({"max_iter": 0}, "solver_config: max_iter must be >= 1, got 0"),
+        ],
+    )
+    def test_bad_solver_setting_names_section_and_key(self, solver_config, message):
+        blob = dict(json.loads(json.dumps(self.FULL)), solver_config=solver_config)
+        with pytest.raises(ConfigError, match="^" + re.escape(message)):
             parse_experiment_config(blob)
 
     def test_missing_required(self):

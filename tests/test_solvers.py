@@ -2,6 +2,7 @@
 four solvers against their stationarity/feasibility oracles."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -475,6 +476,11 @@ class TestKnnLaplacian:
         if name == "identical":
             assert np.all(L_hat == (X.n - 1 + 0.01) * np.eye(X.n) - (1.0 - np.eye(X.n)))
 
+    def test_peak_at_n500(self):
+        # the distance table and np.partition's copy; before L was built in place 3.0
+        X = DataMatrix(_KNN_INPUTS["usps-256x500"])
+        assert _peak_in_n2_floats(build_knn_laplacian, X, 4, 0.01, n=500) <= 2.1
+
     def test_k_out_of_range(self):
         X = _random_matrix(2, 3, 6, normalize=False)
         for bad in (0, 6, 7):
@@ -482,7 +488,71 @@ class TestKnnLaplacian:
                 build_knn_laplacian(X, bad, 0.01)
 
 
+def _lsr_out_of_place(Xv, lam):
+    """Reference lsr (C, residual, objective), each n x n step out of place."""
+    _, s, Vt = np.linalg.svd(Xv, full_matrices=False)
+    s2 = s**2
+    G = Xv.T @ Xv
+    G = (G + G.T) / 2.0
+    scale = max(1.0, np.max(np.abs(G)))
+    C = (Vt.T * (s2 / (s2 + lam))) @ Vt
+    resid = np.max(np.abs(G @ C + lam * C - G)) / scale
+    fit = Xv - Xv @ C
+    return C, resid, float(np.sum(fit * fit) + lam * np.sum(C * C))
+
+
+def _smr_out_of_place(X, lam):
+    """Reference smr (C, residual, objective), each n x n step out of place.
+
+    The graph is build_knn_laplacian's, which the loop reference pins."""
+    Xv = X.values
+    _, s, Vt = np.linalg.svd(Xv, full_matrices=False)
+    s2 = s**2
+    L_hat = build_knn_laplacian(X, min(4, X.n - 1), 0.01)
+    G = Xv.T @ Xv
+    G = (G + G.T) / 2.0
+    scale = max(1.0, np.max(np.abs(G)))
+    theta, Q = np.linalg.eigh(L_hat)
+    lam_g = lam * s2[:, None]
+    gain = lam_g / (lam_g + theta[None, :])
+    C = Vt.T @ (gain * (Vt @ Q)) @ Q.T
+    CL = C @ L_hat
+    R = lam * (G @ C) + CL - lam * G
+    resid = np.max(np.abs(R)) / scale
+    fit = Xv - Xv @ C
+    return C, resid, float(lam * np.sum(fit * fit) + np.sum(CL * C))
+
+
+_IN_PLACE_INPUTS = _SHAPED_INPUTS + [
+    pytest.param(_KNN_INPUTS["usps-256x500"], id="usps-256x500"),
+]
+
+
+def _assert_report_of(result, C, resid, objective, tol):
+    assert result.values.tobytes() == C.tobytes()
+    report = result.report
+    assert (report.iterations, report.primal_residual, report.objective) == (1, resid, objective)
+    assert report.converged == (resid <= tol)
+
+
+def _peak_in_n2_floats(fn, *args, n):
+    """tracemalloc's peak numpy heap of fn(*args), in units of n * n float64s."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (8.0 * n * n)
+
+
 class TestLSR:
+    @pytest.mark.parametrize("Xv", _IN_PLACE_INPUTS)
+    @pytest.mark.parametrize("lam", [0.01, 1.0])
+    def test_matches_out_of_place_bitwise(self, Xv, lam):
+        cfg = default_solver_config("lsr", lam=lam)
+        _assert_report_of(solve_lsr(DataMatrix(Xv), cfg), *_lsr_out_of_place(Xv, lam), cfg.tol)
+
     def test_huge_lambda_kills_coefficients(self):
         X = _random_matrix(0, 5, 8, normalize=False)
         C = solve_lsr(X, default_solver_config("lsr", lam=1e12))
@@ -515,6 +585,18 @@ class TestLSR:
 
 
 class TestSMR:
+    @pytest.mark.parametrize("Xv", _IN_PLACE_INPUTS)
+    @pytest.mark.parametrize("lam", [1.0, 100.0])
+    def test_matches_out_of_place_bitwise(self, Xv, lam):
+        X = DataMatrix(Xv)
+        cfg = default_solver_config("smr", lam=lam)
+        _assert_report_of(solve_smr(X, cfg), *_smr_out_of_place(X, lam), cfg.tol)
+
+    def test_peak_at_n500(self):
+        # C, C L_hat, G and the residual; before the in-place steps 8.8
+        X = DataMatrix(_KNN_INPUTS["usps-256x500"])
+        assert _peak_in_n2_floats(solve_smr, X, default_solver_config("smr"), n=500) <= 5.5
+
     @pytest.mark.parametrize("seed", range(10))
     def test_stationarity_residual(self, seed):
         X = _random_matrix(seed, 6, 10, normalize=False)

@@ -2,6 +2,7 @@
 
 import itertools
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -20,6 +21,7 @@ from subclust import (
     solve_ssc,
 )
 from subclust.affinity import build_sm
+from subclust.data import canonical_signs
 from subclust.errors import ConfigError, DataError
 from subclust.spectral import _lloyd, _seed_restarts, spectral_embed
 
@@ -54,7 +56,45 @@ def _table(points):
     return squareform(pdist(points, "sqeuclidean"))
 
 
+def _embed_out_of_place(W, n_clusters):
+    """Reference spectral_embed of a valid W, each n x n step out of place."""
+    degrees = W.sum(axis=1)
+    isolated = degrees == 0.0
+    inv_root = np.zeros(len(W))
+    inv_root[~isolated] = 1.0 / np.sqrt(degrees[~isolated])
+    sym = inv_root[:, None] * W * inv_root[None, :]
+    sym = (sym + sym.T) / 2.0
+    eigvals, eigvecs = np.linalg.eigh(sym)
+    top = eigvecs[:, -n_clusters:][:, ::-1].copy()
+    top_vals = eigvals[-n_clusters:][::-1]
+    top[:, np.abs(top_vals) <= 1e-12 * max(1.0, np.abs(eigvals).max())] = 0.0
+    top = canonical_signs(top)
+    norms = np.linalg.norm(top, axis=1)
+    embedding = top / np.where(norms > 0, norms, 1.0)[:, None]
+    embedding[isolated, :] = 0.0
+    return embedding
+
+
+def _nearly_symmetric(seed, n=30):
+    """A random W symmetric only within 1e-12, so its symmetrization rounds."""
+    rng = np.random.default_rng(seed)
+    W = rng.random((n, n))
+    return (W + W.T) / 2.0 + 1e-14 * rng.random((n, n))
+
+
 class TestEmbedding:
+    @pytest.mark.parametrize(
+        "W, n_clusters",
+        [
+            (_nearly_symmetric(0), 3),
+            (_block_affinity([10, 12, 8], [0.9, 0.7, 0.8], np.random.default_rng(1), 0.05), 3),
+            (np.ones((9, 9)), 2),
+        ],
+        ids=["nearly-symmetric", "blocks", "all-ones"],
+    )
+    def test_matches_out_of_place_bitwise(self, W, n_clusters):
+        assert spectral_embed(W, n_clusters).tobytes() == _embed_out_of_place(W, n_clusters).tobytes()
+
     def test_two_blocks_two_distinct_rows(self):
         W = _block_affinity([4, 5], [0.5, 0.9])
         E = spectral_embed(W, 2)
@@ -181,6 +221,18 @@ class TestKMeans:
             kmeans(pts, 2, [0, seed])
         with pytest.raises(ConfigError, match="seed"):
             cluster(_block_affinity([3, 3, 3], [0.9, 0.8, 0.7]), 3, seed=seed)
+
+    def test_peak_at_n500(self):
+        # the distance table and a batch's 100 Lloyd chains; with a copy of
+        # the points per chain 6.9
+        points = _unit_embedding(500, 10, 0)
+        tracemalloc.start()
+        try:
+            kmeans(points, 10, range(10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.5 * 8 * 500**2
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_points(self, bad):
