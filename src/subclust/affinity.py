@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataMatrix
-from .errors import ConfigError, DataError, NumericalError, require, require_one_of
+from .errors import ConfigError, DataError, lapack, require, require_one_of
 from .solvers import CoefficientMatrix
 
 
@@ -80,10 +80,7 @@ def build_svdm(C, cfg: AffinityConfig) -> np.ndarray:
     their diagonal.
     """
     cv = _coeff_values(C)
-    try:
-        U, s = np.linalg.svd(cv, full_matrices=False)[:2]
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD of the coefficient matrix failed: {exc}") from exc
+    U, s = lapack("SVD of the coefficient matrix", np.linalg.svd, cv, full_matrices=False)[:2]
     n = cv.shape[0]
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((n, n))

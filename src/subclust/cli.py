@@ -15,8 +15,6 @@ import argparse
 import sys
 import time
 
-import numpy as np
-
 # cli.solve, cli.build_affinity and cli.cluster are unused; perfbench/tracing.py hooks them
 from .affinity import build_affinity  # noqa: F401
 from .data import (
@@ -176,7 +174,7 @@ def main(argv=None) -> int:
     except (DataError, OSError) as exc:
         print(f"subclust: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (NumericalError, np.linalg.LinAlgError) as exc:
+    except NumericalError as exc:
         print(f"subclust: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DataError, require, require_one_of
+from .errors import DataError, lapack, require, require_one_of
 
 BINARY_MAGIC = b"SSCB"
 BINARY_VERSION = 0x01
@@ -242,7 +242,7 @@ def pca_project(X: DataMatrix, target_dim: int) -> DataMatrix:
             block = values[start : start + _ROW_BLOCK] - mean[start : start + _ROW_BLOCK]
             np.ldexp(block, -exponent, out=block)
             gram += block.T @ block
-    evals, evecs = np.linalg.eigh(gram)
+    evals, evecs = lapack("eigendecomposition of the PCA Gram matrix", np.linalg.eigh, gram)
     evals, evecs = evals[::-1][:target_dim], evecs[:, ::-1][:, :target_dim]
     rank = np.count_nonzero(evals > max(X.d, X.n) * np.finfo(np.float64).eps * evals[0])
     evals, evecs = evals[:rank], evecs[:, :rank]
@@ -290,7 +290,7 @@ def generate_synthetic(spec: SyntheticSpec) -> Dataset:
     values = np.zeros((d, total))
     labels = np.zeros(total, dtype=np.int64)
     for i in range(spec.num_subspaces):
-        basis, _ = np.linalg.qr(rng.standard_normal((d, r)))
+        basis, _ = lapack("QR of a subspace basis", np.linalg.qr, rng.standard_normal((d, r)))
         coeffs = rng.standard_normal((r, m))
         coeffs /= np.linalg.norm(coeffs, axis=0, keepdims=True)
         values[:, i * m : (i + 1) * m] = basis @ coeffs
@@ -308,6 +308,7 @@ def prepare_dataset(ds: Dataset, pca_dim: int | None = None, normalize: bool = T
     """Apply the standard preprocessing pipeline: PCA, then column normalization."""
     matrix = ds.matrix
     if pca_dim is not None:
+        require("pca_dim", pca_dim, int, at_least=1, at_most=min(matrix.d, matrix.n))
         matrix = pca_project(matrix, pca_dim)
     if normalize:
         matrix = normalize_columns(matrix)

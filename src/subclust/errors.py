@@ -1,14 +1,17 @@
 """Exception hierarchy shared across the toolkit, plus the two checks of settings.
 
 The CLI maps these onto exit codes: ConfigError -> 1, DataError -> 2,
-NumericalError (and LinAlgError) -> 3. `require` checks a setting's type and
-range, bounds that depend on the data included; `require_one_of` checks a
-name against the names it may take. Both raise ConfigError.
+NumericalError -> 3. `require` checks a setting's type and range, bounds that
+depend on the data included; `require_one_of` checks a name against the names
+it may take. Both raise ConfigError. `lapack` runs a numpy.linalg routine and
+turns its LinAlgError into a NumericalError naming the stage.
 """
 
 import math
 import numbers
 import sys
+
+import numpy as np
 
 
 class SubclustError(Exception):
@@ -58,3 +61,11 @@ def require_one_of(name: str, value, choices):
     if not isinstance(value, str) or value not in choices:  # a list is unhashable as a dict key
         raise ConfigError(f"unknown {name} {value!r}, expected one of {tuple(choices)}")
     return value
+
+
+def lapack(what: str, routine, *args, **kwargs):
+    """Call routine; raise its LinAlgError as NumericalError("<what> failed: <reason>")."""
+    try:
+        return routine(*args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"{what} failed: {exc}") from exc

@@ -214,10 +214,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     return replace(result, artifacts=(C, W, LabelVector(labels[0], cfg.n_clusters)))
 
 
-# the failures a grid records per cell; anything else is a bug and propagates
-_CELL_ERRORS = (SubclustError, np.linalg.LinAlgError)
-
-
 @dataclass(frozen=True)
 class GridResult:
     """Results of the full 4x4 solver/affinity grid; failures recorded per cell."""
@@ -238,9 +234,8 @@ def run_grid(
     """Run all 16 solver/affinity combinations on an already-prepared dataset.
 
     Each solver's coefficient matrix is computed once and reused across its
-    four affinities. A cell that fails with a SubclustError or LinAlgError
-    records its error and the grid continues; any other exception is a bug
-    and propagates.
+    four affinities. A cell that fails with a SubclustError records its error
+    and the grid continues; any other exception is a bug and propagates.
     """
     if (presets is None) != (preset_name is None):
         raise ConfigError("presets and preset_name must be given together")
@@ -258,7 +253,7 @@ def run_grid(
         )
         try:
             C = solve(solver, dataset.matrix, scfg)
-        except _CELL_ERRORS as exc:  # a dead solver must not kill the grid
+        except SubclustError as exc:  # a dead solver must not kill the grid
             for affinity in AFFINITY_ROWS:
                 errors[(solver, affinity)] = f"{type(exc).__name__}: {exc}"
             continue
@@ -270,7 +265,7 @@ def run_grid(
             )
             try:
                 _, _, cells[(solver, affinity)] = _score_cell(dataset, C, affinity, acfg, k, seeds)
-            except _CELL_ERRORS as exc:
+            except SubclustError as exc:
                 errors[(solver, affinity)] = f"{type(exc).__name__}: {exc}"
     return GridResult(cells=cells, errors=errors)
 

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.spatial.distance import pdist, squareform
 
 from .data import DataMatrix
-from .errors import ConfigError, DataError, NumericalError, require, require_one_of
+from .errors import ConfigError, DataError, NumericalError, lapack, require, require_one_of
 
 
 @dataclass(frozen=True)
@@ -95,14 +95,9 @@ def singular_value_threshold(M: np.ndarray, tau: float) -> np.ndarray:
         raise NumericalError(
             "SVT input overflowed to non-finite entries; the data scale is too large"
         )
-    try:
-        U, s, Vt = np.linalg.svd(M, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD failed: {exc}") from exc
+    U, s, Vt = lapack("SVD", np.linalg.svd, M, full_matrices=False)
     s = np.maximum(s - tau, 0.0)
     keep = int(np.sum(s > 0))
-    if keep == 0:
-        return np.zeros_like(M)
     return (U[:, :keep] * s[:keep]) @ Vt[:keep, :]
 
 
@@ -143,10 +138,7 @@ def build_knn_laplacian(X: DataMatrix, k_graph: int, epsilon: float) -> np.ndarr
 
 def _thin_svd(Xv: np.ndarray):
     """(U, s, Vt) of the thin SVD X = U diag(s) Vt; Vt is min(d, n) x n."""
-    try:
-        return np.linalg.svd(Xv, full_matrices=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD of the data failed: {exc}") from exc
+    return lapack("SVD of the data", np.linalg.svd, Xv, full_matrices=False)
 
 
 def _quadratic_step(B, M, US, Vt, g, rho1: float, rho2: float):
@@ -237,10 +229,7 @@ def solve_smr(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
     s, Vt = _thin_svd(X.values)[1:]
     s2 = _squared_singular_values(s, "smr")
     L_hat = build_knn_laplacian(X, min(4, X.n - 1), 0.01)
-    try:
-        theta, Q = np.linalg.eigh(L_hat)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition failed: {exc}") from exc
+    theta, Q = lapack("eigendecomposition", np.linalg.eigh, L_hat)
     # per Laplacian eigendirection: (lam*G + theta_i I)^-1 lam*G q_i, G = Vt^T diag(s^2) Vt
     lam_g = cfg.lam * s2[:, None]
     gain = lam_g / (lam_g + theta[None, :])
@@ -427,7 +416,7 @@ def _lrrsc_admm(Xv: np.ndarray, U, s, Vt, cfg: SolverConfig, scale) -> Coefficie
         mu = min(mu * mu_growth, mu_max)
 
     e_l21 = float(np.sum(np.linalg.norm(E, axis=0)))
-    nuclear = float(np.sum(np.linalg.svd(C_sym, compute_uv=False)))
+    nuclear = float(np.sum(lapack("SVD of LRRSC's C", np.linalg.svd, C_sym, compute_uv=False)))
     report = SolverReport(iterations, max(feas, gap), nuclear + cfg.lam * e_l21, converged)
     return _result(C_sym, "lrrsc", cfg, report)
 

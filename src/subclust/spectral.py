@@ -16,7 +16,7 @@ from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import pdist, squareform
 
 from .data import LabelVector, canonical_signs
-from .errors import ConfigError, DataError, NumericalError, require
+from .errors import ConfigError, DataError, lapack, require
 
 
 def _affinity_values(W) -> np.ndarray:
@@ -60,10 +60,7 @@ def spectral_embed(W, n_clusters: int) -> np.ndarray:
     sym *= inv_root[None, :]
     sym += sym.T  # numpy buffers the overlapping transpose
     sym /= 2.0
-    try:
-        eigvals, eigvecs = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition of the Laplacian failed: {exc}") from exc
+    eigvals, eigvecs = lapack("eigendecomposition of the Laplacian", np.linalg.eigh, sym)
     top = eigvecs[:, -n_clusters:][:, ::-1].copy()
     top_vals = eigvals[-n_clusters:][::-1]
     # a numerically-zero eigenvalue spans an arbitrary basis; drop it

@@ -177,6 +177,11 @@ class TestRun:
         assert main(["run", "--config", str(path)]) == 1
         assert "unknown key" in capsys.readouterr().err
 
+    def test_pca_dim_above_the_data_exits_one_naming_it(self, tmp_path, capsys):
+        assert main(["run", "--config", str(self._config(tmp_path, pca_dim=50))]) == 1
+        first = capsys.readouterr().err.splitlines()[0]
+        assert first == "subclust: config error: pca_dim must be in 1..24, got 50"
+
     @pytest.mark.parametrize(
         "extra",
         [
@@ -382,6 +387,16 @@ class TestGrid:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("subclust: config error:")
+
+    def test_pca_above_the_data_exits_one_naming_pca_dim(self, tmp_path, capsys):
+        matrix, labels = _write_synth(tmp_path)  # 24 x 36
+        capsys.readouterr()
+        assert main(["grid", "--dataset", matrix, "--labels", labels, "--pca", "50"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines()[0] == (
+            "subclust: config error: pca_dim must be in 1..24, got 50"
+        )
 
     def test_missing_files_exit_two(self, tmp_path):
         assert main(

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+import subclust.cli as cli
 from subclust import (
     AffinityConfig,
     DataMatrix,
@@ -24,6 +25,7 @@ from subclust import (
     kmeans,
     load_dataset,
     pca_project,
+    run_grid,
     save_dataset,
     singular_value_threshold,
     soft_threshold,
@@ -33,6 +35,7 @@ from subclust import (
 )
 from subclust.data import load_matrix_binary
 from subclust.errors import ConfigError, DataError, NumericalError, require_one_of
+from subclust.harness import AFFINITY_ROWS, SOLVER_COLUMNS
 
 SPEC = SyntheticSpec(2, 1, 3, 2)
 
@@ -163,6 +166,8 @@ LINALG_SITES = [
         lambda: spectral_embed(np.ones((3, 3)), 2),
         "eigendecomposition of the Laplacian failed",
     ),
+    ("eigh", lambda: pca_project(_X(4, 5), 2), "eigendecomposition of the PCA Gram matrix failed"),
+    ("qr", lambda: generate_synthetic(SPEC), "QR of a subspace basis failed"),
 ]
 
 
@@ -171,6 +176,81 @@ def test_linalg_failure_is_a_numerical_error(monkeypatch, routine, call, message
     monkeypatch.setattr(np.linalg, routine, _linalg_fails)
     with pytest.raises(NumericalError, match=f"^{re.escape(message)}: did not converge$"):
         call()
+
+
+def test_lrrsc_nuclear_norm_svd_failure_is_a_numerical_error(monkeypatch):
+    # lam = 1e-3 fails the closed-form certificate, so the ADMM runs; of its
+    # SVDs only the last, of C for the objective, is taken without U and V
+    svd = np.linalg.svd
+
+    def fails_without_uv(*args, compute_uv=True, **kwargs):
+        if not compute_uv:
+            _linalg_fails()
+        return svd(*args, compute_uv=compute_uv, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", fails_without_uv)
+    cfg = default_solver_config("lrrsc", lam=1e-3, max_iter=3)
+    with pytest.raises(NumericalError, match="^SVD of LRRSC's C failed: did not converge$"):
+        solve("lrrsc", _X(4, 6), cfg)
+
+
+def _grid_data():
+    return generate_synthetic(SyntheticSpec(3, 2, 10, 6, 0.05, 1))
+
+
+_EVERY_CELL = [(solver, affinity) for solver in SOLVER_COLUMNS for affinity in AFFINITY_ROWS]
+_SMR_OR_LAPLACIAN = {
+    cell: "eigendecomposition" + ("" if cell[0] == "smr" else " of the Laplacian")
+    for cell in _EVERY_CELL
+}
+
+
+# (the np.linalg routine that fails, the stage run_grid names for each cell it fails)
+@pytest.mark.parametrize(
+    "routine, stages",
+    [
+        ("svd", {cell: "SVD of the data" for cell in _EVERY_CELL}),
+        ("eigh", _SMR_OR_LAPLACIAN),
+        ("qr", {}),  # the grid takes no QR
+    ],
+)
+def test_grid_records_linalg_failures_as_numerical_errors(monkeypatch, routine, stages):
+    ds = _grid_data()
+    monkeypatch.setattr(np.linalg, routine, _linalg_fails)
+    grid = run_grid(ds, trials=1)
+    assert grid.errors == {
+        cell: f"NumericalError: {stage} failed: did not converge" for cell, stage in stages.items()
+    }
+    assert set(grid.cells) == set(_EVERY_CELL) - set(stages)
+
+
+@pytest.mark.parametrize(
+    "routine, argv, stage",
+    [
+        (
+            "eigh",
+            ["grid", "--dataset", "{p}.csv", "--labels", "{p}.labels", "--pca", "3"],
+            "eigendecomposition of the PCA Gram matrix",
+        ),
+        (
+            "qr",
+            ["synth", "--subspaces", "2", "--dim", "2", "--ambient", "6", "--points", "4"],
+            "QR of a subspace basis",
+        ),
+    ],
+)
+def test_cli_exits_three_naming_the_failed_stage(
+    tmp_path, capsys, monkeypatch, routine, argv, stage
+):
+    prefix = tmp_path / "data"
+    save_dataset(_grid_data(), f"{prefix}.csv", f"{prefix}.labels")
+    capsys.readouterr()
+    monkeypatch.setattr(np.linalg, routine, _linalg_fails)
+    argv = [arg.format(p=prefix) for arg in argv]
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"subclust: numerical failure: {stage} failed: did not converge\n"
 
 
 @pytest.mark.parametrize("value", [2.0, 2.5, True])
