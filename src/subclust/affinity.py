@@ -3,9 +3,11 @@
 Four builders: plain symmetrization (sm), per-column top-k sparsification
 followed by symmetrization (ssm), row-cosines of the skinny-SVD factor
 (svdm), and coefficient inner products over the data norms (ipm). Every builder
-returns an n x n float64 array that is exactly symmetric and nonnegative. It is
-finite unless its arithmetic overflows; spectral_embed, which consumes W,
-checks that W is finite.
+takes C as an n x n array, a solver's C.values or any other, and raises
+DataError unless it is square, nonempty and finite (data.checked_matrix, the
+check X and W pass too). It returns an n x n float64 array that is exactly
+symmetric and nonnegative. W is finite unless its arithmetic overflows;
+spectral_embed, which consumes W, checks that W is finite.
 """
 
 from __future__ import annotations
@@ -15,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import DataMatrix
+from .data import DataMatrix, checked_matrix
 from .errors import ConfigError, DataError, lapack, require, require_one_of
-from .solvers import CoefficientMatrix
 
 
 @dataclass(frozen=True)
@@ -32,21 +33,9 @@ class AffinityConfig:
         require("alpha", self.alpha, float, above=0)
 
 
-def _coeff_values(C) -> np.ndarray:
-    """C's values; a raw array must be square and finite, as every solver's C is."""
-    if isinstance(C, CoefficientMatrix):
-        return C.values
-    cv = np.asarray(C, dtype=np.float64)
-    if cv.ndim != 2 or cv.shape[0] != cv.shape[1]:
-        raise DataError(f"coefficient matrix must be square, got shape {cv.shape}")
-    if not np.all(np.isfinite(cv)):
-        raise DataError("coefficient matrix contains non-finite entries")
-    return cv
-
-
-def build_sm(C) -> np.ndarray:
+def build_sm(C: np.ndarray) -> np.ndarray:
     """W = (|C| + |C|^T) / 2."""
-    cv = np.abs(_coeff_values(C))
+    cv = np.abs(checked_matrix(C, "coefficient matrix", square=True))
     return (cv + cv.T) / 2.0
 
 
@@ -65,24 +54,24 @@ def top_k_per_column(C: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def build_ssm(C, cfg: AffinityConfig) -> np.ndarray:
+def build_ssm(C: np.ndarray, cfg: AffinityConfig) -> np.ndarray:
     """Sparsify each column to its k_top largest magnitudes, then symmetrize."""
-    cv = _coeff_values(C)
+    cv = checked_matrix(C, "coefficient matrix", square=True)
     kept = np.abs(top_k_per_column(cv, cfg.k_top))
     return (kept + kept.T) / 2.0
 
 
-def build_svdm(C, cfg: AffinityConfig) -> np.ndarray:
+def build_svdm(C: np.ndarray, cfg: AffinityConfig) -> np.ndarray:
     """Absolute row cosines of the skinny-SVD factor, raised to 2*alpha.
 
     The skinny SVD keeps singular values >= 1e-4 * sigma_1 and
     M = U*sqrt(S). Rows with zero norm yield zero affinities, including
     their diagonal.
     """
-    cv = _coeff_values(C)
+    cv = checked_matrix(C, "coefficient matrix", square=True)
     U, s = lapack("SVD of the coefficient matrix", np.linalg.svd, cv, full_matrices=False)[:2]
     n = cv.shape[0]
-    if s.size == 0 or s[0] == 0.0:
+    if s[0] == 0.0:
         return np.zeros((n, n))
     keep = s >= 1e-4 * s[0]
     vectors = U[:, keep]
@@ -105,13 +94,13 @@ def build_svdm(C, cfg: AffinityConfig) -> np.ndarray:
     return cos
 
 
-def build_ipm(C, X: DataMatrix | None, cfg: AffinityConfig) -> np.ndarray:
+def build_ipm(C: np.ndarray, X: DataMatrix | None, cfg: AffinityConfig) -> np.ndarray:
     """Absolute inner products of coefficient columns over the data norms, to power alpha.
 
     W_ij = (|c_i^T c_j| / (||x_i|| * ||x_j||))^alpha. Pairs with a zero
     denominator are set to zero with a warning.
     """
-    cv = _coeff_values(C)
+    cv = checked_matrix(C, "coefficient matrix", square=True)
     n = cv.shape[0]
     if X is None:
         raise ConfigError("ipm needs the data matrix")
@@ -142,7 +131,7 @@ AFFINITIES = tuple(_AFFINITIES)
 
 
 def build_affinity(
-    method: str, C, X: DataMatrix | None = None, cfg: AffinityConfig | None = None
+    method: str, C: np.ndarray, X: DataMatrix | None = None, cfg: AffinityConfig | None = None
 ) -> np.ndarray:
     """Dispatch to one of the four affinity builders by name."""
     builder = _AFFINITIES[require_one_of("affinity", method, AFFINITIES)]

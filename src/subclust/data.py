@@ -23,6 +23,22 @@ FORMATS = ("csv", "binary")
 _ROW_BLOCK = 256
 
 
+def checked_matrix(values, what: str, square: bool = False) -> np.ndarray:
+    """values as float64; DataError unless 2-D (square if asked), nonempty and finite.
+
+    The one check of every matrix a stage receives: X, C, W and k-means' points.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    if v.ndim != 2 or (square and v.shape[0] != v.shape[1]):
+        raise DataError(f"{what} must be {'square' if square else '2-D'}, got shape {v.shape}")
+    if v.size == 0:
+        raise DataError(f"{what} is empty, got shape {v.shape}")
+    # max propagates nan and shows +inf, min shows -inf: no temporary of v's size
+    if not (np.isfinite(v.max()) and np.isfinite(v.min())):
+        raise DataError(f"{what} contains non-finite entries")
+    return v
+
+
 @dataclass(frozen=True)
 class DataMatrix:
     """A d x n real matrix whose columns are data points."""
@@ -30,14 +46,9 @@ class DataMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2:
-            raise DataError(f"data matrix must be 2-D, got shape {v.shape}")
-        if v.shape[0] < 1 or v.shape[1] < 2:
-            raise DataError(f"data matrix needs d >= 1 and n >= 2, got {v.shape}")
-        # max propagates nan and shows +inf, min shows -inf: no d x n temporary
-        if not (np.isfinite(v.max()) and np.isfinite(v.min())):
-            raise DataError("data matrix contains non-finite entries")
+        v = checked_matrix(self.values, "data matrix")
+        if v.shape[1] < 2:
+            raise DataError(f"data matrix needs n >= 2 samples, got shape {v.shape}")
         object.__setattr__(self, "values", v)
 
     @property
@@ -112,13 +123,17 @@ def remap_labels(raw: np.ndarray) -> LabelVector:
     return LabelVector(labels=contiguous, k=len(uniq))
 
 
-def _load_matrix_csv(path) -> np.ndarray:
+def _loadtxt(path, what: str, **kwargs) -> np.ndarray:
+    """np.loadtxt(path); a malformed file or one with no data raises DataError naming path."""
     try:
-        rows = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        with warnings.catch_warnings():  # an empty file is the DataError below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            values = np.loadtxt(path, **kwargs)
     except ValueError as exc:
-        raise DataError(f"malformed CSV matrix file {path}: {exc}") from exc
-    # one sample per row on disk -> columns in memory
-    return rows.T
+        raise DataError(f"malformed {what} file {path}: {exc}") from exc
+    if values.size == 0:
+        raise DataError(f"{what} file {path} contains no data")
+    return values
 
 
 def load_matrix_binary(path) -> np.ndarray:
@@ -135,6 +150,8 @@ def load_matrix_binary(path) -> np.ndarray:
         raise DataError(
             f"{path}: expected {expected} bytes for a {d}x{n} matrix, got {len(blob)}"
         )
+    if d * n == 0:
+        raise DataError(f"binary matrix file {path} contains no data")
     flat = np.frombuffer(blob, dtype="<f8", offset=13)
     # column-major like the transposed CSV rows, so both copies normalize alike
     return flat.reshape((d, n), order="F").copy(order="F")
@@ -152,14 +169,6 @@ def save_matrix_binary(values: np.ndarray, path) -> None:
         fh.write(values.astype("<f8", copy=False).tobytes(order="F"))
 
 
-def _load_labels(path) -> np.ndarray:
-    try:
-        raw = np.loadtxt(path, dtype=np.int64, ndmin=1)
-    except ValueError as exc:
-        raise DataError(f"malformed labels file {path}: {exc}") from exc
-    return raw
-
-
 def load_dataset(matrix_path, labels_path, format: str = "csv") -> Dataset:
     """Load a dataset from a matrix file plus a one-integer-per-line labels file.
 
@@ -167,10 +176,11 @@ def load_dataset(matrix_path, labels_path, format: str = "csv") -> Dataset:
     that samples end up as columns.
     """
     if require_one_of("format", format, FORMATS) == "csv":
-        values = _load_matrix_csv(matrix_path)
+        # one sample per row on disk -> columns in memory
+        values = _loadtxt(matrix_path, "CSV matrix", delimiter=",", ndmin=2).T
     else:
         values = load_matrix_binary(matrix_path)
-    truth = remap_labels(_load_labels(labels_path))
+    truth = remap_labels(_loadtxt(labels_path, "labels", dtype=np.int64, ndmin=1))
     matrix = DataMatrix(values)
     if matrix.n != len(truth):
         raise DataError(

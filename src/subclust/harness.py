@@ -190,7 +190,7 @@ def _score_cell(ds, C, affinity, acfg, k, seeds):
     of a call with that seed alone. Returns W, the per-trial labels and the
     trial statistics.
     """
-    W = build_affinity(affinity, C, ds.matrix, acfg)
+    W = build_affinity(affinity, C.values, ds.matrix, acfg)
     embedding = spectral_embed(W, k)
     labels = kmeans(embedding, k, seeds)
     accuracies = [clustering_accuracy(trial, ds.truth) for trial in labels]
@@ -337,10 +337,8 @@ def parse_experiment_config(obj: dict) -> ExperimentConfig:
         defaults = default_solver_config(obj["solver"])
         try:
             kwargs["solver_config"] = replace(defaults, **renamed)
-        except ConfigError as exc:  # require() names the field first, as lam
-            field, rest = str(exc).split(" ", 1)
-            key = "lambda" if field == "lam" else field
-            raise ConfigError(f"solver_config: {key} {rest}") from None
+        except ConfigError as exc:
+            raise ConfigError(f"solver_config: {exc}") from None
     if "affinity_config" in obj:
         raw = obj["affinity_config"]
         kwargs["affinity_config"] = _from_json(AffinityConfig, raw, "affinity_config")

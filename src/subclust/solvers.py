@@ -35,7 +35,7 @@ class SolverConfig:
     max_iter: int = 200  # lrrsc/ssc only
 
     def __post_init__(self):
-        require("lam", self.lam, float, above=0)
+        require("lambda", self.lam, float, above=0)  # named by its config key
         require("tol", self.tol, float, above=0)
         require("max_iter", self.max_iter, int, at_least=1)
 

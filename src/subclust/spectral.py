@@ -15,19 +15,13 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial.distance import pdist, squareform
 
-from .data import LabelVector, canonical_signs
-from .errors import ConfigError, DataError, lapack, require
+from .data import LabelVector, canonical_signs, checked_matrix
+from .errors import DataError, lapack, require
 
 
 def _affinity_values(W) -> np.ndarray:
     """W as float64, checked square, nonempty, finite, symmetric within 1e-12 and nonnegative."""
-    values = np.asarray(W, dtype=np.float64)
-    if values.ndim != 2 or values.shape[0] != values.shape[1]:
-        raise DataError(f"affinity matrix must be square, got {values.shape}")
-    if values.size == 0:
-        raise DataError("affinity matrix is empty (0 x 0)")
-    if not np.all(np.isfinite(values)):
-        raise DataError("affinity matrix contains non-finite entries")
+    values = checked_matrix(W, "affinity matrix", square=True)
     if np.max(np.abs(values - values.T)) > 1e-12:
         raise DataError("affinity matrix is not symmetric")
     if values.min() < 0:
@@ -179,14 +173,12 @@ def kmeans(points: np.ndarray, k: int, seeds: Sequence[int]) -> list[np.ndarray]
     and their Lloyd steps run as one stacked computation of about
     200 * n * (k + d) floats, at most 100 steps each. Each seed's labels
     are bitwise those of a call with that seed alone at the same BLAS
-    thread count. A seed that is not an int >= 0, and points so large that
-    n times 4 max|p|^2 overflows, raise before any draw.
+    thread count. points is an n x d array; points that are not 2-D,
+    nonempty and finite, and points so large that n times 4 max|p|^2
+    overflows, raise DataError, and a seed that is not an int >= 0
+    ConfigError, all before any draw.
     """
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    if points.ndim != 2:
-        raise ConfigError("points must be a 2-D array")
-    if not np.all(np.isfinite(points)):
-        raise DataError("points contain non-finite entries")
+    points = np.ascontiguousarray(checked_matrix(points, "point matrix"))
     n = points.shape[0]
     require("k", k, int, at_least=1, at_most=n)
     for seed in seeds:

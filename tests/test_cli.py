@@ -166,7 +166,7 @@ class TestRun:
 
         ds = prepare_dataset(load_dataset(matrix, labels), normalize=True)
         C = solve("lsr", ds.matrix, default_solver_config("lsr"))
-        W = build_affinity("sm", C, ds.matrix)
+        W = build_affinity("sm", C.values, ds.matrix)
         pred = cluster(W, 3, seed=trial_seed(2, 0))
         assert np.array_equal(load_matrix_binary(dumps["coeff"]), C.values)
         assert np.array_equal(load_matrix_binary(dumps["affinity"]), W)
@@ -508,6 +508,20 @@ class TestExitCodes:
         assert proc.stderr.startswith("subclust: numerical failure: ")
         assert proc.stderr.count("\n") == 1
         assert "the data scale is too large" in proc.stderr
+
+    @pytest.mark.parametrize("empty, what", [(0, "CSV matrix"), (1, "labels")])
+    def test_empty_file_prints_one_line_naming_it(self, tmp_path, empty, what):
+        # numpy warns of an empty file on stderr; a separate process shows it would print
+        files = _write_synth(tmp_path)
+        with open(files[empty], "w"):
+            pass
+        src = os.path.dirname(os.path.dirname(subclust.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "subclust.cli", "grid", "--dataset", files[0], "--labels", files[1]],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == f"subclust: data error: {what} file {files[empty]} contains no data\n"
 
     def test_dump_labels(self, tmp_path):
         matrix, labels = _write_synth(tmp_path)

@@ -107,6 +107,12 @@ def _sscb_version_9(tmp):
     return path
 
 
+def _sscb_3x0(tmp):
+    path = tmp / "m.bin"
+    path.write_bytes(b"SSCB" + bytes([1]) + (3).to_bytes(4, "little") + bytes(4))
+    return path
+
+
 def _labels_file(tmp):
     (tmp / "m.csv").write_text("1,2\n3,4\n")
     (tmp / "l.txt").write_text("0\nx\n")
@@ -125,11 +131,16 @@ SITES = [
         "unsupported SSCB version 9 in {tmp}/m.bin",
     ),
     (
+        lambda tmp: load_matrix_binary(_sscb_3x0(tmp)),
+        DataError,
+        "binary matrix file {tmp}/m.bin contains no data",
+    ),
+    (
         lambda tmp: load_dataset(*_labels_file(tmp)),
         DataError,
         "malformed labels file {tmp}/l.txt: ",
     ),
-    (lambda tmp: kmeans(np.zeros(4), 2, [0]), ConfigError, "points must be a 2-D array"),
+    (lambda tmp: kmeans(np.zeros(4), 2, [0]), DataError, "point matrix must be 2-D, got shape (4,)"),
     (lambda tmp: clustering_accuracy([], []), DataError, "empty label vectors"),
     (
         lambda tmp: build_ipm(np.eye(3), _X(4, 5), AffinityConfig()),

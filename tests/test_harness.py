@@ -234,7 +234,7 @@ class TestPresets:
             ),
             (
                 lambda raw: raw["ar"]["solvers"]["lrrsc"].update({"lambda": -1.0}),
-                "preset 'ar'/'lrrsc': lam must be > 0, got -1.0",
+                "preset 'ar'/'lrrsc': lambda must be > 0, got -1.0",
             ),
         ],
         ids=[
@@ -404,7 +404,7 @@ class TestRunGrid:
 
         def spy_solve(solver, X, cfg):
             C = real_solve(solver, X, cfg)
-            solved[id(C)] = (solver, cfg)
+            solved[id(C.values)] = (solver, cfg)
             return C
 
         def spy_build(affinity, C, X, cfg):

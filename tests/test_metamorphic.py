@@ -84,8 +84,8 @@ class TestColumnPermutation:
         acfg = AffinityConfig()
         _assert_no_top_k_tie(C.values, acfg.k_top, C_BOUND)
         for affinity in AFFINITIES:
-            W = build_affinity(affinity, C, ds.matrix, acfg)
-            W_perm = build_affinity(affinity, C_perm, X_perm, acfg)
+            W = build_affinity(affinity, C.values, ds.matrix, acfg)
+            W_perm = build_affinity(affinity, C_perm.values, X_perm, acfg)
             bound = SVDM_SMALL_C_BOUND if (affinity, lam) == ("svdm", 0.05) else W_BOUND
             assert np.abs(W[block] - W_perm).max() <= bound, affinity
 
@@ -111,8 +111,8 @@ class TestRowSigns:
         assert C_flipped.values.tobytes() == C.values.tobytes()
         assert C_flipped.report == C.report
         for affinity in AFFINITIES:
-            W = build_affinity(affinity, C, ds.matrix, AffinityConfig())
-            W_flipped = build_affinity(affinity, C_flipped, X_flipped, AffinityConfig())
+            W = build_affinity(affinity, C.values, ds.matrix, AffinityConfig())
+            W_flipped = build_affinity(affinity, C_flipped.values, X_flipped, AffinityConfig())
             assert W_flipped.tobytes() == W.tobytes(), affinity
 
     @pytest.mark.parametrize("seed", range(2))

@@ -1092,7 +1092,7 @@ class TestConfig:
             SolverConfig(lam=-1.0)
         with pytest.raises(ConfigError):
             SolverConfig(lam=1.0, tol=0.0)
-        with pytest.raises(ConfigError, match="lam has the wrong type"):
+        with pytest.raises(ConfigError, match="lambda has the wrong type"):
             SolverConfig(lam=10**400)  # an exact integer, but beyond the float range
 
     def test_default_configs_per_solver(self):

@@ -11,6 +11,8 @@ from scipy.spatial.distance import pdist, squareform
 
 import subclust.spectral as spectral
 from subclust import (
+    AffinityConfig,
+    DataMatrix,
     SyntheticSpec,
     cluster,
     clustering_accuracy,
@@ -20,7 +22,7 @@ from subclust import (
     prepare_dataset,
     solve_ssc,
 )
-from subclust.affinity import build_sm
+from subclust.affinity import AFFINITIES, build_affinity, build_sm
 from subclust.data import canonical_signs
 from subclust.errors import ConfigError, DataError
 from subclust.spectral import _lloyd, _seed_restarts, spectral_embed
@@ -145,6 +147,22 @@ class TestEmbedding:
             spectral_embed(np.ones((3, 3)), 1)
 
 
+def _defects(what, square):
+    """The defects data.checked_matrix rejects in a matrix named what, with its messages.
+
+    A matrix a stage needs square is also checked with a non-square 2-D one.
+    """
+    rows = [
+        ("1-D", np.ones(3), f"{what} must be {'square' if square else '2-D'}, got shape (3,)"),
+        ("empty", np.zeros((0, 0)), f"{what} is empty, got shape (0, 0)"),
+    ]
+    if square:
+        rows.insert(0, ("non-square", np.ones((3, 4)), f"{what} must be square, got shape (3, 4)"))
+    for name, bad in (("nan", np.nan), ("inf", np.inf), ("-inf", -np.inf)):
+        rows.append((name, np.where(np.eye(3) > 0, 1.0, bad), f"{what} contains non-finite entries"))
+    return [pytest.param(matrix, message, id=name) for name, matrix, message in rows]
+
+
 class TestAffinityCheck:
     """spectral_embed checks every W it receives, raw or built, and cluster through it."""
 
@@ -156,13 +174,7 @@ class TestAffinityCheck:
     @pytest.mark.parametrize(
         "W, message",
         [
-            pytest.param(np.ones((3, 4)), "affinity matrix must be square, got (3, 4)", id="non-square"),
-            pytest.param(np.zeros((0, 0)), "affinity matrix is empty (0 x 0)", id="empty"),
-            pytest.param(
-                np.where(np.eye(3) > 0, 1.0, np.nan),
-                "affinity matrix contains non-finite entries",
-                id="nan",
-            ),
+            *_defects("affinity matrix", square=True),
             pytest.param(
                 np.array([[0.0, 1.0], [2.0, 0.0]]), "affinity matrix is not symmetric", id="asymmetric"
             ),
@@ -182,6 +194,26 @@ class TestAffinityCheck:
             W = build_sm(np.full((4, 4), 1e308))  # (|C| + |C|^T) / 2 is inf
         with pytest.raises(DataError, match="non-finite"):
             cluster(W, 2)
+
+
+class TestMatrixCheck:
+    """C, k-means' points and X pass the check W passes, with the same messages."""
+
+    @pytest.mark.parametrize("method", AFFINITIES)
+    @pytest.mark.parametrize("C, message", _defects("coefficient matrix", square=True))
+    def test_defective_coefficients_rejected(self, method, C, message):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            build_affinity(method, C, cfg=AffinityConfig(k_top=1))
+
+    @pytest.mark.parametrize("points, message", _defects("point matrix", square=False))
+    def test_defective_points_rejected(self, points, message):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            kmeans(points, 2, [0])
+
+    @pytest.mark.parametrize("X, message", _defects("data matrix", square=False))
+    def test_defective_data_matrix_rejected(self, X, message):
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            DataMatrix(X)
 
 
 class TestKMeans:
@@ -541,7 +573,7 @@ class TestCluster:
         spec = SyntheticSpec(3, 3, 30, 15, 0.0, seed=2)
         ds = prepare_dataset(generate_synthetic(spec), normalize=True)
         C = solve_ssc(ds.matrix, default_solver_config("ssc"))
-        W = build_sm(C)
+        W = build_sm(C.values)
         labels = cluster(W, 3, seed=5)
         assert clustering_accuracy(labels, ds.truth) == 100.0
 
