@@ -12,6 +12,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.spatial.distance import pdist, squareform
 
 from .errors import DataError, lapack, require, require_one_of
 
@@ -214,6 +215,15 @@ def canonical_signs(vectors: np.ndarray) -> np.ndarray:
     peaks = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
     vectors[:, peaks < 0] *= -1.0
     return vectors
+
+
+def squared_distances(points: np.ndarray) -> np.ndarray:
+    """The n x n table of exact squared Euclidean distances between the rows of points.
+
+    pdist sums each pair's squared differences in order, unlike a Gram-matrix GEMM, so
+    the table is exactly symmetric and duplicates are exactly 0 apart; smr's kNN graph
+    and the k-means++ draws rest on this summation order."""
+    return squareform(pdist(points, "sqeuclidean"))
 
 
 def pca_project(X: DataMatrix, target_dim: int) -> DataMatrix:

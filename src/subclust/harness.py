@@ -354,13 +354,15 @@ def parse_experiment_config(obj: dict) -> ExperimentConfig:
 def load_experiment_config(path) -> ExperimentConfig:
     """Parse an experiment config JSON file, read as UTF-8 (RFC 8259) in any locale.
 
-    A file json.load cannot read raises ConfigError: bad syntax or encoding,
-    an integer of more digits than Python converts, nesting deeper than the
-    recursion limit.
+    A file that cannot be read (missing, a directory) or that json.load cannot parse
+    raises ConfigError naming the path: bad syntax or encoding, an integer of more
+    digits than Python converts, nesting deeper than the recursion limit.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
-        except (ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError
-            raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
+    except (ValueError, RecursionError) as exc:  # ValueError covers JSONDecodeError
+        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     return parse_experiment_config(obj)

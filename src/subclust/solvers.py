@@ -12,9 +12,8 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
 
-from .data import DataMatrix
+from .data import DataMatrix, squared_distances
 from .errors import ConfigError, DataError, NumericalError, lapack, require, require_one_of
 
 
@@ -26,8 +25,8 @@ class SolverConfig:
     preset value that gets rescaled internally to the error weight
     lambda_e = lam / mu_e with mu_e = min_i max_{j != i} |x_i^T x_j|.
 
-    tol is relative for lsr/smr/lrrsc (against max(1, data scale)) and an
-    absolute max-norm bound for ssc, matching each solver's contract.
+    tol bounds the reported primal_residual (see SolverReport): relative for
+    lsr/smr/lrrsc and absolute for ssc.
     """
 
     lam: float
@@ -44,10 +43,10 @@ class SolverConfig:
 class SolverReport:
     """Exit diagnostics of a solver run.
 
-    primal_residual stores what the convergence test measured: the absolute
-    max-norm constraint violation for ssc, and the violation relative to
-    max(1, data scale) for lsr/smr/lrrsc. converged implies
-    primal_residual <= tol.
+    primal_residual stores what the convergence test measured, in max-norm:
+    the stationarity violation over max(1, max_i ||x_i||^2) for lsr/smr, the
+    constraint violation over max(1, max|X|) for lrrsc and the absolute one
+    for ssc. converged implies primal_residual <= tol.
     """
 
     iterations: int
@@ -121,9 +120,7 @@ def build_knn_laplacian(X: DataMatrix, k_graph: int, epsilon: float) -> np.ndarr
     n = X.n
     require("k_graph", k_graph, int, at_least=1, at_most=n - 1)
     require("epsilon", epsilon, float, above=0)
-    # exact differences, not a Gram-matrix GEMM, keep distances from duplicate
-    # columns bitwise equal, so ties at the k-th distance are exact
-    d2 = squareform(pdist(X.values.T, "sqeuclidean"))
+    d2 = squared_distances(X.values.T)  # ties at the k-th distance are exact
     np.fill_diagonal(d2, np.inf)
     kth = np.partition(d2, k_graph - 1, axis=1)[:, [k_graph - 1]]
     W = d2 <= kth
@@ -171,14 +168,6 @@ def _squared_singular_values(s: np.ndarray, solver: str) -> np.ndarray:
     return s2
 
 
-def _gram(X: DataMatrix) -> np.ndarray:
-    """(G + G^T) / 2 of G = X^T X, formed in place; numpy buffers the overlapping G^T."""
-    G = X.values.T @ X.values
-    G += G.T
-    G /= 2.0
-    return G
-
-
 def _result(C, solver: str, cfg: SolverConfig, report: SolverReport) -> CoefficientMatrix:
     """Wrap a solver's C. X is finite, so a non-finite C is an overflow inside the
     solve, such as lam * s**2 or lam / mu_e at a lam near the float maximum."""
@@ -193,27 +182,34 @@ def _one_step(C, solver: str, resid, objective: float, cfg: SolverConfig) -> Coe
     return _result(C, solver, cfg, report)
 
 
+def _closed_form(Xv, C, weight: float, CP, solver: str, cfg: SolverConfig) -> CoefficientMatrix:
+    """Report of a C minimizing weight*||X - XC||_F^2 + tr(C P C^T), P symmetric, from
+    CP = C P, which it overwrites. Both figures take one fit X - XC: the residual
+    max|C P - weight X^T fit| over max(1, max_i ||x_i||^2), which is max|X^T X| in exact
+    arithmetic (Cauchy-Schwarz), and the objective weight*||fit||^2 + sum(CP * C)."""
+    fit = Xv - Xv @ C
+    scale = max(1.0, np.max(np.sum(Xv * Xv, axis=0)))
+    R = Xv.T @ fit  # weight X^T fit - C P, in one buffer
+    R *= weight
+    R -= CP
+    resid = np.max(np.abs(R, out=R)) / scale
+    del R
+    CP *= C
+    objective = float(weight * np.sum(fit * fit) + np.sum(CP))
+    return _one_step(C, solver, resid, objective, cfg)
+
+
 def solve_lsr(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
     """Ridge-regularized self-expression with a closed-form solution.
 
     Minimizes ||X - XC||_F^2 + lam*||C||_F^2. With X = U diag(s) Vt, the
     minimizer (G + lam I)^-1 G of G = X^T X is Vt^T diag(s^2 / (s^2 + lam)) Vt.
+    `_closed_form` reports it at weight 1 and P = lam I, without forming G.
     """
     s, Vt = _thin_svd(X.values)[1:]
     s2 = _squared_singular_values(s, "lsr")
-    G = _gram(X)
-    scale = max(1.0, np.max(np.abs(G)))
     C = (Vt.T * (s2 / (s2 + cfg.lam))) @ Vt
-    R = G @ C  # G C + lam C - G, in one buffer
-    R += cfg.lam * C
-    R -= G
-    del G
-    resid = np.max(np.abs(R, out=R)) / scale
-    del R
-
-    fit = X.values - X.values @ C
-    objective = float(np.sum(fit * fit) + cfg.lam * np.sum(C * C))
-    return _one_step(C, "lsr", resid, objective, cfg)
+    return _closed_form(X.values, C, 1.0, cfg.lam * C, "lsr", cfg)
 
 
 def solve_smr(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
@@ -224,7 +220,8 @@ def solve_smr(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
     k is 4 from n = 5 on, and at n <= 4 every other point is a neighbor.
     The stationarity condition lam*X^T X C + C L_hat = lam*X^T X is solved
     by eigendecomposing L_hat and taking the thin SVD of X; the null
-    directions of X have zero gain.
+    directions of X have zero gain. `_closed_form` reports it at weight lam
+    and P = L_hat.
     """
     s, Vt = _thin_svd(X.values)[1:]
     s2 = _squared_singular_values(s, "smr")
@@ -237,22 +234,7 @@ def solve_smr(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
     del Q
     CL = C @ L_hat
     del L_hat
-
-    # the n x n steps run in place, each the same operation in the same order
-    G = _gram(X)
-    scale = max(1.0, np.max(np.abs(G)))
-    R = G @ C  # lam (G C) + C L_hat - lam G
-    R *= cfg.lam
-    R += CL
-    G *= cfg.lam
-    R -= G
-    del G
-    resid = np.max(np.abs(R, out=R)) / scale
-    del R
-    fit = X.values - X.values @ C
-    CL *= C
-    objective = float(cfg.lam * np.sum(fit * fit) + np.sum(CL))  # tr(C L_hat C^T)
-    return _one_step(C, "smr", resid, objective, cfg)
+    return _closed_form(X.values, C, cfg.lam, CL, "smr", cfg)
 
 
 def solve_ssc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
@@ -275,7 +257,10 @@ def solve_ssc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
     # an overflowed X^T X fails lambda_e's checks below, which name the data
     # scale, without a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        offdiag = np.abs(_gram(X))
+        offdiag = Xv.T @ Xv  # (G + G^T) / 2 in place; numpy buffers the overlapping G^T
+        offdiag += offdiag.T
+        offdiag /= 2.0
+        np.abs(offdiag, out=offdiag)
     zero = np.flatnonzero(~np.any(Xv, axis=0))
     if zero.size:
         shown = ", ".join(map(str, zero[:10])) + (", ..." if zero.size > 10 else "")

@@ -13,9 +13,8 @@ from collections.abc import Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import pdist, squareform
 
-from .data import LabelVector, canonical_signs, checked_matrix
+from .data import LabelVector, canonical_signs, checked_matrix, squared_distances
 from .errors import DataError, lapack, require
 
 
@@ -167,8 +166,8 @@ _SEEDS_PER_BATCH = 20  # bounds a call's memory at any number of seeds
 def kmeans(points: np.ndarray, k: int, seeds: Sequence[int]) -> list[np.ndarray]:
     """k-means++ with 10 restarts per seed; returns each seed's best-inertia labels.
 
-    The seedings draw from squareform(pdist(points, "sqeuclidean")), the
-    exact table smr's kNN graph takes. Seeds run in lockstep batches of 20:
+    The seedings draw from `squared_distances(points)`, the exact table
+    smr's kNN graph takes. Seeds run in lockstep batches of 20:
     the seedings of a batch's 200 restarts take one pass over the table,
     and their Lloyd steps run as one stacked computation of about
     200 * n * (k + d) floats, at most 100 steps each. Each seed's labels
@@ -190,7 +189,7 @@ def kmeans(points: np.ndarray, k: int, seeds: Sequence[int]) -> list[np.ndarray]
         raise DataError(
             f"points of scale {np.max(np.abs(points)):.3g} overflow their squared distances"
         )
-    table = squareform(pdist(points, "sqeuclidean"))
+    table = squared_distances(points)
     trials = []
     for start in range(0, len(seeds), _SEEDS_PER_BATCH):
         rngs = [np.random.default_rng(s) for s in seeds[start : start + _SEEDS_PER_BATCH]]

@@ -297,6 +297,21 @@ class TestRun:
         assert captured.out == ""
         assert captured.err.startswith(f"subclust: config error: invalid JSON in {path}")
 
+    @pytest.mark.parametrize(
+        "name, reason",
+        [("missing.json", "No such file or directory"), ("", "Is a directory")],
+        ids=["missing", "directory"],
+    )
+    def test_unreadable_config_file_exits_one(self, tmp_path, capsys, name, reason):
+        # no data is read, so it is a config error (exit 1), not a data error
+        path = tmp_path / name
+        with pytest.raises(ConfigError, match=f"cannot read config file {re.escape(str(path))}"):
+            load_experiment_config(path)
+        assert main(["run", "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"subclust: config error: cannot read config file {path}: {reason}\n"
+
     def test_config_is_read_as_utf8_in_any_locale(self, tmp_path):
         # JSON exchanged between systems is UTF-8 (RFC 8259), so a non-ASCII
         # name reaches the name check under the C locale instead of failing to decode

@@ -488,17 +488,19 @@ class TestKnnLaplacian:
                 build_knn_laplacian(X, bad, 0.01)
 
 
+def _report_scale(Xv):
+    """max(1, max_i ||x_i||^2), which is max|X^T X| in exact arithmetic."""
+    return max(1.0, np.max(np.sum(Xv * Xv, axis=0)))
+
+
 def _lsr_out_of_place(Xv, lam):
     """Reference lsr (C, residual, objective), each n x n step out of place."""
     _, s, Vt = np.linalg.svd(Xv, full_matrices=False)
     s2 = s**2
-    G = Xv.T @ Xv
-    G = (G + G.T) / 2.0
-    scale = max(1.0, np.max(np.abs(G)))
     C = (Vt.T * (s2 / (s2 + lam))) @ Vt
-    resid = np.max(np.abs(G @ C + lam * C - G)) / scale
     fit = Xv - Xv @ C
-    return C, resid, float(np.sum(fit * fit) + lam * np.sum(C * C))
+    resid = np.max(np.abs(lam * C - Xv.T @ fit)) / _report_scale(Xv)
+    return C, resid, float(1.0 * np.sum(fit * fit) + np.sum(lam * C * C))
 
 
 def _smr_out_of_place(X, lam):
@@ -509,17 +511,13 @@ def _smr_out_of_place(X, lam):
     _, s, Vt = np.linalg.svd(Xv, full_matrices=False)
     s2 = s**2
     L_hat = build_knn_laplacian(X, min(4, X.n - 1), 0.01)
-    G = Xv.T @ Xv
-    G = (G + G.T) / 2.0
-    scale = max(1.0, np.max(np.abs(G)))
     theta, Q = np.linalg.eigh(L_hat)
     lam_g = lam * s2[:, None]
     gain = lam_g / (lam_g + theta[None, :])
     C = Vt.T @ (gain * (Vt @ Q)) @ Q.T
     CL = C @ L_hat
-    R = lam * (G @ C) + CL - lam * G
-    resid = np.max(np.abs(R)) / scale
     fit = Xv - Xv @ C
+    resid = np.max(np.abs(CL - lam * (Xv.T @ fit))) / _report_scale(Xv)
     return C, resid, float(lam * np.sum(fit * fit) + np.sum(CL * C))
 
 
@@ -656,6 +654,36 @@ class TestSMR:
         R = cfg.lam * (G @ C.values) + C.values @ L_hat - cfg.lam * G
         assert np.max(np.abs(R)) <= 1e-6 * max(1.0, np.abs(G).max())
         assert C.report.converged
+
+
+class TestClosedFormReport:
+    """The report lsr and smr share catches a C that is not the minimizer:
+    C + delta e_i e_j^T moves the stationarity residual by about
+    delta (P_jj + weight G_ii) / scale, which is chosen as 200 tol."""
+
+    @staticmethod
+    def _weight_and_P(name, X, lam):
+        if name == "lsr":
+            return 1.0, lam * np.eye(X.n)
+        return lam, build_knn_laplacian(X, min(4, X.n - 1), 0.01)
+
+    @pytest.mark.parametrize("name", ["lsr", "smr"])
+    @pytest.mark.parametrize("i, j", [(0, 0), (2, 7), (9, 4)])
+    def test_perturbed_coefficients_do_not_converge(self, name, i, j):
+        X = _random_matrix(3, 6, 10, normalize=False)
+        cfg = default_solver_config(name, lam=1.0)
+        weight, P = self._weight_and_P(name, X, cfg.lam)
+        C = solvers.solve(name, X, cfg).values
+        G = X.values.T @ X.values
+        scale = max(1.0, np.max(np.abs(G)))
+        delta = 200 * cfg.tol * scale / (P[j, j] + weight * G[i, i])
+        wrong = C.copy()
+        wrong[i, j] += delta
+        report = solvers._closed_form(X.values, wrong, weight, wrong @ P, name, cfg).report
+        assert report.primal_residual >= 100 * cfg.tol
+        assert not report.converged
+        # the minimizer itself passes the same report
+        assert solvers._closed_form(X.values, C, weight, C @ P, name, cfg).report.converged
 
 
 class TestSSC:

@@ -23,7 +23,7 @@ from subclust import (
     solve_ssc,
 )
 from subclust.affinity import AFFINITIES, build_affinity, build_sm
-from subclust.data import canonical_signs
+from subclust.data import canonical_signs, squared_distances
 from subclust.errors import ConfigError, DataError
 from subclust.spectral import _lloyd, _seed_restarts, spectral_embed
 
@@ -442,6 +442,18 @@ class TestAgainstReferenceKMeans:
 
 
 class TestDistanceTable:
+    @pytest.mark.parametrize("d", [1, 3, 20])
+    @pytest.mark.parametrize("distinct", [1, 5, 40])
+    def test_squared_distances_is_the_pdist_table(self, d, distinct):
+        """The one table smr's kNN graph and k-means++ take, on 40 rows of
+        which only distinct differ, is bitwise SciPy's."""
+        rng = np.random.default_rng(d)
+        points = rng.standard_normal((distinct, d))[rng.permutation(np.arange(40) % distinct)]
+        table = squared_distances(points)
+        assert table.tobytes() == _table(points).tobytes()
+        # a transposed view, as the kNN graph passes X.values.T
+        assert squared_distances(points.T.copy().T).tobytes() == table.tobytes()
+
     @staticmethod
     def _seeding_table(points, monkeypatch):
         """The table kmeans(points, 3, [0]) hands to _seed_restarts."""
