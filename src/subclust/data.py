@@ -206,17 +206,6 @@ def save_dataset(ds: Dataset, matrix_path, labels_path, format: str = "csv") -> 
     save_labels(ds.truth, labels_path)
 
 
-def canonical_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip columns in place so each one's largest-magnitude entry is positive.
-
-    Of tied entries the first one counts. Fixes the sign ambiguity of eigen-
-    and singular vectors for reproducibility.
-    """
-    peaks = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
-    vectors[:, peaks < 0] *= -1.0
-    return vectors
-
-
 def squared_distances(points: np.ndarray) -> np.ndarray:
     """The n x n table of exact squared Euclidean distances between the rows of points.
 
@@ -237,10 +226,11 @@ def pca_project(X: DataMatrix, target_dim: int) -> DataMatrix:
     otherwise c c^T, whose eigenvector u gives the row u^T c. For d > n no
     d x n copy of c is formed: c^T c is summed over blocks of 256 rows. A
     direction whose eigenvalue is at most max(d, n) * eps * the largest one
-    lies past the numerical rank; its row is exactly zero. Each row is
-    signed so that its first largest-magnitude entry is positive. c is first
-    scaled by an exact power of two so that the Gram matrix can neither
-    overflow nor underflow, and the result is scaled back exactly.
+    lies past the numerical rank; its row is exactly zero. A row's sign is
+    the one eigh returns, which no later stage can tell: they see rows only
+    through X^T X, column norms, distances and the s and Vt of X's SVD. c
+    is first scaled by an exact power of two so that the Gram matrix can
+    neither overflow nor underflow, and the result is scaled back exactly.
     """
     require("target_dim", target_dim, int, at_least=1, at_most=min(X.d, X.n))
     values = X.values
@@ -268,7 +258,7 @@ def pca_project(X: DataMatrix, target_dim: int) -> DataMatrix:
     evals, evecs = evals[:rank], evecs[:, :rank]
     Y = np.zeros((target_dim, X.n))
     Y[:rank] = evecs.T @ centered if X.d <= X.n else np.sqrt(evals)[:, None] * evecs.T
-    return DataMatrix(np.ldexp(canonical_signs(Y.T).T, exponent))
+    return DataMatrix(np.ldexp(Y, exponent))
 
 
 def normalize_columns(X: DataMatrix) -> DataMatrix:

@@ -154,25 +154,34 @@ def _quadratic_step(B, M, US, Vt, g, rho1: float, rho2: float):
     return A, US @ (P + Z)
 
 
-def _squared_singular_values(s: np.ndarray, solver: str) -> np.ndarray:
-    """s**2 of X's descending singular values s. Where the largest square
-    overflows no lam can help, so that is a NumericalError naming the data
-    scale, raised before any overflow warns."""
+def _overflowed(solver: str, cfg: SolverConfig) -> NumericalError:
+    return NumericalError(f"{solver} produced non-finite coefficients at lam={cfg.lam!r}")
+
+
+def _gain(s: np.ndarray, weight: float, shift, solver: str, cfg: SolverConfig) -> np.ndarray:
+    """The ridge gain w s^2 / (w s^2 + shift) of X's descending singular values s,
+    as a column (r x 1, or r x m for a 1 x m row of shifts). Where s^2 overflows
+    no lam can help, so that NumericalError names the data scale; where w s^2 or
+    the sum overflows it names lam. Both are raised before any overflow warns."""
     with np.errstate(over="ignore"):
-        s2 = s**2
-    if np.isinf(s2[0]):
+        s2 = s[:, None] ** 2
+        ws2 = weight * s2
+        total = ws2 + shift
+    if np.isinf(s2[0, 0]):
         raise NumericalError(
             f"{solver} cannot run: the largest singular value of X, {float(s[0])!r}, squares to "
             "inf; the data scale is too large"
         )
-    return s2
+    if np.isinf(total).any():
+        raise _overflowed(solver, cfg)
+    return ws2 / total
 
 
 def _result(C, solver: str, cfg: SolverConfig, report: SolverReport) -> CoefficientMatrix:
     """Wrap a solver's C. X is finite, so a non-finite C is an overflow inside the
-    solve, such as lam * s**2 or lam / mu_e at a lam near the float maximum."""
+    solve, such as lam / mu_e at a lam near the float maximum."""
     if not np.all(np.isfinite(C)):
-        raise NumericalError(f"{solver} produced non-finite coefficients at lam={cfg.lam!r}")
+        raise _overflowed(solver, cfg)
     return CoefficientMatrix(values=C, report=report)
 
 
@@ -207,8 +216,7 @@ def solve_lsr(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
     `_closed_form` reports it at weight 1 and P = lam I, without forming G.
     """
     s, Vt = _thin_svd(X.values)[1:]
-    s2 = _squared_singular_values(s, "lsr")
-    C = (Vt.T * (s2 / (s2 + cfg.lam))) @ Vt
+    C = (Vt.T * _gain(s, 1.0, cfg.lam, "lsr", cfg).T) @ Vt
     return _closed_form(X.values, C, 1.0, cfg.lam * C, "lsr", cfg)
 
 
@@ -224,12 +232,10 @@ def solve_smr(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
     and P = L_hat.
     """
     s, Vt = _thin_svd(X.values)[1:]
-    s2 = _squared_singular_values(s, "smr")
     L_hat = build_knn_laplacian(X, min(4, X.n - 1), 0.01)
     theta, Q = lapack("eigendecomposition", np.linalg.eigh, L_hat)
     # per Laplacian eigendirection: (lam*G + theta_i I)^-1 lam*G q_i, G = Vt^T diag(s^2) Vt
-    lam_g = cfg.lam * s2[:, None]
-    gain = lam_g / (lam_g + theta[None, :])
+    gain = _gain(s, cfg.lam, theta[None, :], "smr", cfg)
     C = Vt.T @ (gain * (Vt @ Q)) @ Q.T
     del Q
     CL = C @ L_hat
@@ -294,7 +300,7 @@ def solve_ssc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
 
     U, s, Vt = _thin_svd(Xv)
     US = U * s
-    g = (rho1 * s**2 / (rho1 * s**2 + rho2))[:, None]
+    g = _gain(s, rho1, rho2, "ssc", cfg)
 
     C = np.zeros((n, n))
     E = np.zeros((d, n))
@@ -372,7 +378,7 @@ def _lrrsc_admm(Xv: np.ndarray, U, s, Vt, cfg: SolverConfig, scale) -> Coefficie
     mu_growth = 1.1
     mu_max = 1e10
     US = U * s
-    g = (s**2 / (s**2 + 1.0))[:, None]
+    g = _gain(s, 1.0, 1.0, "lrrsc", cfg)
 
     C = np.zeros((n, n))
     E = np.zeros((d, n))

@@ -14,7 +14,7 @@ from collections.abc import Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .data import LabelVector, canonical_signs, checked_matrix, squared_distances
+from .data import LabelVector, checked_matrix, squared_distances
 from .errors import DataError, lapack, require
 
 
@@ -35,7 +35,10 @@ def spectral_embed(W, n_clusters: int) -> np.ndarray:
     within 1e-12 and nonnegative raises DataError. This is the one check of W
     in the pipeline: the affinity builders return an unchecked array. Needs
     2 <= n_clusters <= n. The rows are scaled to unit norm; zero-degree nodes
-    get an all-zero row and a warning.
+    get an all-zero row and a warning. A column's sign is the one eigh
+    returns: k-means sees the points only through sign-free forms (distances,
+    products of two entries of one column, center means), so flipping a
+    column changes no label.
     """
     values = _affinity_values(W)
     n = values.shape[0]
@@ -58,7 +61,6 @@ def spectral_embed(W, n_clusters: int) -> np.ndarray:
     top_vals = eigvals[-n_clusters:][::-1]
     # a numerically-zero eigenvalue spans an arbitrary basis; drop it
     top[:, np.abs(top_vals) <= 1e-12 * max(1.0, np.abs(eigvals).max())] = 0.0
-    top = canonical_signs(top)
     norms = np.linalg.norm(top, axis=1)
     safe = np.where(norms > 0, norms, 1.0)
     embedding = top / safe[:, None]

@@ -21,7 +21,7 @@ from subclust import (
     save_dataset,
     solve_lsr,
 )
-from subclust.data import canonical_signs, load_matrix_binary, save_matrix_binary
+from subclust.data import load_matrix_binary, save_matrix_binary
 from subclust.errors import ConfigError, DataError
 
 
@@ -39,14 +39,16 @@ def _pairwise_distances(values):
 
 
 def _pca_by_thin_svd(values, target_dim):
-    """Reference PCA: the centered data projected onto its top left singular
-    vectors, each row signed so that its first largest-magnitude entry is
-    positive."""
+    """Reference PCA: the centered data projected onto its top left singular vectors."""
     centered = values - values.mean(axis=1, keepdims=True)
     U = np.linalg.svd(centered, full_matrices=False)[0][:, :target_dim]
-    Y = U.T @ centered
-    peaks = Y[np.arange(target_dim), np.argmax(np.abs(Y), axis=1)]
-    return Y * np.sign(peaks)[:, None]
+    return U.T @ centered
+
+
+def _sign_aligned(reference, Y):
+    """reference with each row negated where it points away from Y's row: a
+    principal direction is defined only up to sign."""
+    return reference * np.where(np.sum(reference * Y, axis=1) < 0, -1.0, 1.0)[:, None]
 
 
 class TestLoadSave:
@@ -247,7 +249,7 @@ class TestPCA:
         values = rng.standard_normal((d, n)) * rng.uniform(1.0, 20.0, size=(d, 1))
         Y = pca_project(DataMatrix(values), target_dim).values
         assert Y.shape == (target_dim, n)
-        reference = _pca_by_thin_svd(values, target_dim)
+        reference = _sign_aligned(_pca_by_thin_svd(values, target_dim), Y)
         assert np.abs(Y - reference).max() <= 1e-10 * np.abs(values).max()
 
     def test_rows_past_the_numerical_rank_are_zero(self):
@@ -288,7 +290,7 @@ class TestPCA:
         values = np.random.default_rng(8).standard_normal(shape)
         Y = pca_project(DataMatrix(values * scale), 6).values
         assert np.all(np.isfinite(Y))
-        reference = _pca_by_thin_svd(values, 6)
+        reference = _sign_aligned(_pca_by_thin_svd(values, 6), Y)
         assert np.abs(Y / scale - reference).max() <= 1e-10 * np.abs(values).max()
 
     @pytest.mark.parametrize("d", [257, 513, 2016])
@@ -297,49 +299,18 @@ class TestPCA:
         values = rng.standard_normal((d, 4)) @ rng.standard_normal((4, 30)) + rng.standard_normal((d, 1))
         Y = pca_project(DataMatrix(values), 8).values
         assert np.all(Y[4:] == 0.0)
-        assert np.abs(Y[:4] - _pca_by_thin_svd(values, 4)).max() <= 1e-10 * np.abs(values).max()
+        reference = _sign_aligned(_pca_by_thin_svd(values, 4), Y[:4])
+        assert np.abs(Y[:4] - reference).max() <= 1e-10 * np.abs(values).max()
 
     @pytest.mark.parametrize("shape", [(30, 12), (12, 30), (513, 30)])
-    def test_each_row_first_peak_is_positive(self, shape):
+    def test_negated_data_gives_rows_of_equal_magnitude(self, shape):
+        # negating X negates the centered data, and so each row up to its
+        # sign, which no later stage can tell
         values = np.random.default_rng(9).standard_normal(shape) * 3.0
         Y = pca_project(DataMatrix(values), 8).values
-        assert np.all(Y[np.arange(8), np.argmax(np.abs(Y), axis=1)] > 0.0)
-        # negating X negates every row before it is signed
-        assert pca_project(DataMatrix(-values), 8).values.tobytes() == Y.tobytes()
+        negated = pca_project(DataMatrix(-values), 8).values
+        assert np.abs(negated).tobytes() == np.abs(Y).tobytes()
 
-    @pytest.mark.parametrize("d", [2, 300])
-    def test_row_sign_tie_takes_the_first_peak(self, d):
-        # each output row holds one pair of entries of equal magnitude and
-        # opposite signs; the first of them counts
-        values = np.zeros((d, 4))
-        values[0] = [-3.0, 3.0, 0.0, 0.0]
-        values[1] = [0.0, 0.0, -1.0, 1.0]
-        Y = pca_project(DataMatrix(values), 2).values
-        assert Y[0, 0] == -Y[0, 1] and Y[1, 2] == -Y[1, 3]
-        expected = [[3.0, -3.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]]
-        assert np.abs(Y - expected).max() <= 1e-15 * 3.0
-
-
-def _canonical_signs_by_loop(vectors):
-    """Reference: flip each column whose first largest-magnitude entry is negative."""
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        i = int(np.argmax(np.abs(out[:, j])))
-        if out[i, j] < 0:
-            out[:, j] = -out[:, j]
-    return out
-
-
-class TestCanonicalSigns:
-    def test_matches_the_column_loop(self):
-        rng = np.random.default_rng(10)
-        vectors = rng.standard_normal((9, 6))
-        vectors[:, 2] = 0.0  # no entry to sign by: left as it is
-        vectors[[1, 4], 3] = [-5.0, 5.0]  # a tie: the first entry counts
-        vectors[[0, 7], 4] = [6.0, -6.0]
-        expected = _canonical_signs_by_loop(vectors)
-        assert canonical_signs(vectors).tobytes() == expected.tobytes()
-        assert vectors[1, 3] == 5.0 and vectors[0, 4] == 6.0
 
 class TestSetupMemory:
     """Peak numpy heap of the set-up steps, as tracemalloc sees it, against

@@ -4,8 +4,10 @@ Permuting the columns of X by P must give PCA output Y P, coefficients
 P^T C P and affinities P^T W P, up to rounding: the products sum in another
 order. Each bound sits a few times above the largest difference measured on
 these instances, noted beside it. Relabelling the truth must leave the
-accuracy bitwise equal, and so must flipping the signs of rows of X, which
-only PCA's sign rule chooses, leave C, W and every trial.
+accuracy bitwise equal. No stage fixes the sign of an eigenvector: flipping
+the signs of rows of X, as a PCA row's sign may flip, must leave C, W and
+every trial bitwise equal, and flipping columns of the spectral embedding
+must leave every k-means label.
 """
 
 from dataclasses import replace
@@ -13,15 +15,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import subclust.harness as harness
+import subclust.spectral as spectral
 from subclust import (
     AFFINITIES,
     AffinityConfig,
     DataMatrix,
     SyntheticSpec,
     build_affinity,
+    cluster,
     clustering_accuracy,
     default_solver_config,
     generate_synthetic,
+    kmeans,
     pca_project,
     prepare_dataset,
     run_grid,
@@ -66,8 +72,10 @@ class TestColumnPermutation:
         perm = rng.permutation(shape[1])
         Y = pca_project(DataMatrix(values), 10).values
         Y_perm = pca_project(DataMatrix(values[:, perm]), 10).values
-        # measured up to 4.0e-14 * max|X|
-        assert np.abs(Y[:, perm] - Y_perm).max() <= 2e-13 * np.abs(values).max()
+        # a row's sign is eigh's, which the reordering may flip; aligned in
+        # sign, measured up to 4.8e-14 * max|X|
+        signs = np.where(np.sum(Y[:, perm] * Y_perm, axis=1) < 0, -1.0, 1.0)[:, None]
+        assert np.abs(signs * Y[:, perm] - Y_perm).max() <= 2e-13 * np.abs(values).max()
 
     @pytest.mark.parametrize("solver, lam", CELLS)
     @pytest.mark.parametrize("seed", range(3))
@@ -120,6 +128,63 @@ class TestRowSigns:
         ds, _ = _instance(seed)
         grid = run_grid(ds, trials=3, master_seed=seed)
         flipped = run_grid(_flip_rows(ds, seed), trials=3, master_seed=seed)
+        assert flipped.errors == grid.errors
+        assert {key: cell.per_trial for key, cell in flipped.cells.items()} == {
+            key: cell.per_trial for key, cell in grid.cells.items()
+        }
+
+
+def _flip_columns(E, seed):
+    """E with a random set of its columns negated, at least one of them."""
+    flips = np.random.default_rng(300 + seed).random(E.shape[1]) < 0.5
+    flips[seed % E.shape[1]] = True
+    return np.where(flips, -E, E)
+
+
+def _flipping_embed(seed):
+    """spectral_embed with _flip_columns applied to its output."""
+    embed = spectral.spectral_embed
+    return lambda W, n_clusters: _flip_columns(embed(W, n_clusters), seed)
+
+
+class TestEmbeddingColumnSigns:
+    """k-means sees its points only through products of two entries of one
+    column (the -2 p.c GEMM, |c|^2), squared differences and center means,
+    which negate exactly, so the sign of an embedding column, which eigh
+    chooses, changes no label."""
+
+    SEEDS = [0, 1, 7, 42, 7919]
+
+    @pytest.mark.parametrize("case", range(12))
+    def test_kmeans_labels_of_unit_rows(self, case):
+        rng = np.random.default_rng(400 + case)
+        n, k = int(rng.integers(30, 401)), int(rng.integers(2, 21))
+        points = rng.standard_normal((n, k)) + 3.0 * rng.standard_normal((k, k))[rng.integers(0, k, n)]
+        points /= np.linalg.norm(points, axis=1, keepdims=True)
+        expected = kmeans(points, k, self.SEEDS)
+        flipped = kmeans(_flip_columns(points, case), k, self.SEEDS)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(flipped, expected))
+
+    @pytest.mark.parametrize("solver, affinity", [("lsr", "sm"), ("smr", "ipm"), ("ssc", "ssm")])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_cluster_labels(self, solver, affinity, seed, monkeypatch):
+        ds, _ = _instance(seed)
+        C = solve(solver, ds.matrix, default_solver_config(solver))
+        W = build_affinity(affinity, C.values, ds.matrix, AffinityConfig())
+        E = spectral.spectral_embed(W, 4)
+        expected = kmeans(E, 4, self.SEEDS)
+        flipped = kmeans(_flip_columns(E, seed), 4, self.SEEDS)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(flipped, expected))
+        labels = cluster(W, 4, seed).labels
+        monkeypatch.setattr(spectral, "spectral_embed", _flipping_embed(seed))
+        assert cluster(W, 4, seed).labels.tobytes() == labels.tobytes()
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_grid_trials_are_equal(self, seed, monkeypatch):
+        ds, _ = _instance(seed)
+        grid = run_grid(ds, trials=3, master_seed=seed)
+        monkeypatch.setattr(harness, "spectral_embed", _flipping_embed(seed))
+        flipped = run_grid(ds, trials=3, master_seed=seed)
         assert flipped.errors == grid.errors
         assert {key: cell.per_trial for key, cell in flipped.cells.items()} == {
             key: cell.per_trial for key, cell in grid.cells.items()

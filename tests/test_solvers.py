@@ -591,7 +591,7 @@ class TestSMR:
         _assert_report_of(solve_smr(X, cfg), *_smr_out_of_place(X, lam), cfg.tol)
 
     def test_peak_at_n500(self):
-        # C, C L_hat, G and the residual; before the in-place steps 8.8
+        # C, C L_hat and the report's residual; before the in-place steps 8.8
         X = DataMatrix(_KNN_INPUTS["usps-256x500"])
         assert _peak_in_n2_floats(solve_smr, X, default_solver_config("smr"), n=500) <= 5.5
 
@@ -992,8 +992,9 @@ class TestDeterminism:
 
 
 class TestOverflowingLam:
-    """A finite lam that overflows inside ssc's lambda_e = lam / mu_e or smr's
-    lam * s**2 is a numerical failure naming the solver and lam, not a data error."""
+    """A finite lam that overflows the ridge gain's w * s**2 (smr's lam * s**2,
+    ssc's lambda_e * s**2) is a numerical failure naming the solver and lam, not
+    a data error, raised before any overflow warns (the suite makes those errors)."""
 
     @pytest.mark.parametrize("name", ["ssc", "smr"])
     def test_numerical_error_names_solver_and_lam(self, name):
@@ -1001,9 +1002,8 @@ class TestOverflowingLam:
         C = solvers.solve(name, X, default_solver_config(name, lam=1e300))
         assert np.all(np.isfinite(C.values))
         message = f"{name} produced non-finite coefficients at lam=1e\\+308"
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericalError, match=message):
-                solvers.solve(name, X, default_solver_config(name, lam=1e308))
+        with pytest.raises(NumericalError, match=message):
+            solvers.solve(name, X, default_solver_config(name, lam=1e308))
 
 
 class TestExtremeDataScale:
@@ -1015,13 +1015,22 @@ class TestExtremeDataScale:
         ds = generate_synthetic(SyntheticSpec(3, 3, 20, 15, 0.05, seed=1))
         return DataMatrix(ds.matrix.values * scale)
 
-    def test_lrrsc_names_the_overflowed_svt_input(self):
+    def test_lrrsc_admm_names_the_overflowed_square(self):
         # lam = 1e-160 fails the closed-form certificate, so the ADMM runs; its
-        # quadratic step overflows first ((U S)^T X is about 1e310), and
-        # inf - inf makes NaNs
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(NumericalError, match="SVT input overflowed.*data scale"):
-                solve_lrrsc(self._scaled(1e155), default_solver_config("lrrsc", lam=1e-160))
+        # ridge gain takes s**2 first, which overflows as lsr's and smr's do
+        message = (
+            "^lrrsc cannot run: the largest singular value of X, [0-9.]+e\\+155, squares to "
+            "inf; the data scale is too large$"
+        )
+        with pytest.raises(NumericalError, match=message):
+            solve_lrrsc(self._scaled(1e155), default_solver_config("lrrsc", lam=1e-160))
+
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan])
+    def test_svt_names_a_non_finite_input(self, entry):
+        M = np.eye(3)
+        M[1, 2] = entry
+        with pytest.raises(NumericalError, match="^SVT input overflowed.*data scale is too large$"):
+            singular_value_threshold(M, 0.5)
 
     @pytest.mark.parametrize("name", ["lsr", "smr"])
     def test_lsr_and_smr_name_the_overflowed_square(self, name):

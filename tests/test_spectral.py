@@ -23,7 +23,7 @@ from subclust import (
     solve_ssc,
 )
 from subclust.affinity import AFFINITIES, build_affinity, build_sm
-from subclust.data import canonical_signs, squared_distances
+from subclust.data import squared_distances
 from subclust.errors import ConfigError, DataError
 from subclust.spectral import _lloyd, _seed_restarts, spectral_embed
 
@@ -70,7 +70,6 @@ def _embed_out_of_place(W, n_clusters):
     top = eigvecs[:, -n_clusters:][:, ::-1].copy()
     top_vals = eigvals[-n_clusters:][::-1]
     top[:, np.abs(top_vals) <= 1e-12 * max(1.0, np.abs(eigvals).max())] = 0.0
-    top = canonical_signs(top)
     norms = np.linalg.norm(top, axis=1)
     embedding = top / np.where(norms > 0, norms, 1.0)[:, None]
     embedding[isolated, :] = 0.0
