@@ -104,8 +104,6 @@ class ExperimentResult:
     def __post_init__(self):
         if not (self.min <= self.mean <= self.max):
             raise ConfigError("inconsistent statistics: min <= mean <= max violated")
-        if self.std < 0:
-            raise ConfigError("standard deviation cannot be negative")
 
 
 def summarize_trials(accuracies, solver_converged: bool) -> ExperimentResult:

@@ -46,7 +46,7 @@ class SolverReport:
     primal_residual stores what the convergence test measured, in max-norm:
     the stationarity violation over max(1, max_i ||x_i||^2) for lsr/smr, the
     constraint violation over max(1, max|X|) for lrrsc and the absolute one
-    for ssc. converged implies primal_residual <= tol.
+    for ssc. converged is exactly primal_residual <= tol, set by `_result`.
     """
 
     iterations: int
@@ -177,18 +177,17 @@ def _gain(s: np.ndarray, weight: float, shift, solver: str, cfg: SolverConfig) -
     return ws2 / total
 
 
-def _result(C, solver: str, cfg: SolverConfig, report: SolverReport) -> CoefficientMatrix:
-    """Wrap a solver's C. X is finite, so a non-finite C is an overflow inside the
+def _result(
+    C, solver: str, cfg: SolverConfig, iterations: int, residual, objective
+) -> CoefficientMatrix:
+    """The one exit of every solve: C with its report, converged exactly when
+    residual <= tol. X is finite, so a non-finite C is an overflow inside the
     solve, such as lam / mu_e at a lam near the float maximum."""
     if not np.all(np.isfinite(C)):
         raise _overflowed(solver, cfg)
+    residual = float(residual)
+    report = SolverReport(iterations, residual, float(objective), residual <= cfg.tol)
     return CoefficientMatrix(values=C, report=report)
-
-
-def _one_step(C, solver: str, resid, objective: float, cfg: SolverConfig) -> CoefficientMatrix:
-    """C of a closed-form solve: one iteration, converged when resid <= tol."""
-    report = SolverReport(1, float(resid), objective, converged=bool(resid <= cfg.tol))
-    return _result(C, solver, cfg, report)
 
 
 def _closed_form(Xv, C, weight: float, CP, solver: str, cfg: SolverConfig) -> CoefficientMatrix:
@@ -204,8 +203,7 @@ def _closed_form(Xv, C, weight: float, CP, solver: str, cfg: SolverConfig) -> Co
     resid = np.max(np.abs(R, out=R)) / scale
     del R
     CP *= C
-    objective = float(weight * np.sum(fit * fit) + np.sum(CP))
-    return _one_step(C, solver, resid, objective, cfg)
+    return _result(C, solver, cfg, 1, resid, weight * np.sum(fit * fit) + np.sum(CP))
 
 
 def solve_lsr(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
@@ -248,15 +246,16 @@ def solve_ssc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
 
     Minimizes ||C||_1 + lambda_e*||E||_1 subject to X = XC + E and
     diag(C) = 0, with lambda_e = lam / mu_e, mu_e = min_i max_{j != i}
-    |x_i^T x_j|. The zero diagonal is enforced by projection at every
-    iterate, so it holds exactly. The quadratic step is `_quadratic_step`
-    on one thin SVD X = U S Vt taken before the loop, so each iteration
-    runs two n x r x n products, r = min(d, n). X C is formed only for the
-    convergence test, once A - C meets tol, and at the last iteration.
-    Non-convergence within max_iter returns converged=False, not an error;
-    a lambda_e outside (0, inf), from an X^T X that overflows or underflows,
-    raises NumericalError, as does a nonzero column whose x_i^T x_i
-    underflows to 0.
+    |x_i^T x_j|. The zero diagonal is enforced by projecting A at every
+    iterate. C's diagonal is then exactly +0.0, since the dual U2's stays
+    +0.0 and soft_threshold maps +-0 to +0.0. The quadratic step is
+    `_quadratic_step` on one thin SVD X = U S Vt taken before the loop, so
+    each iteration runs two n x r x n products, r = min(d, n). X C is
+    formed only for the convergence test, once A - C meets tol, and at the
+    last iteration. Non-convergence within max_iter returns
+    converged=False, not an error; a lambda_e outside (0, inf), from an
+    X^T X that overflows or underflows, raises NumericalError, as does a
+    nonzero column whose x_i^T x_i underflows to 0.
     """
     Xv = X.values
     d, n = Xv.shape
@@ -306,14 +305,12 @@ def solve_ssc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
     E = np.zeros((d, n))
     U1 = np.zeros((d, n))  # scaled dual of X = XA + E
     U2 = np.zeros((n, n))  # scaled dual of A = C
-    converged = False
     feas = np.inf
     for iterations in range(1, cfg.max_iter + 1):
         A, XA = _quadratic_step(C - U2, Xv - E + U1, US, Vt, g, rho1, rho2)
         a = A.diagonal().copy()
         np.fill_diagonal(A, 0.0)
         C = soft_threshold(A + U2, 1.0 / rho2)
-        np.fill_diagonal(C, 0.0)
         fit = Xv - (XA - Xv * a)  # X A minus the zeroed diagonal's columns
         E = soft_threshold(fit + U1, lambda_e / rho1)
         U1 += fit - E
@@ -324,12 +321,10 @@ def solve_ssc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
         if gap <= cfg.tol or iterations == cfg.max_iter:
             feas = float(np.max(np.abs(Xv - Xv @ C - E)))
         if feas <= cfg.tol and gap <= cfg.tol:
-            converged = True
             break
 
-    objective = float(np.abs(C).sum() + lambda_e * np.abs(E).sum())
-    report = SolverReport(iterations, max(feas, gap), objective, converged)
-    return _result(C, "ssc", cfg, report)
+    objective = np.abs(C).sum() + lambda_e * np.abs(E).sum()
+    return _result(C, "ssc", cfg, iterations, max(feas, gap), objective)
 
 
 def _shape_interaction(Xv: np.ndarray, s: np.ndarray, Vt: np.ndarray, cfg: SolverConfig, scale):
@@ -360,7 +355,7 @@ def _shape_interaction(Xv: np.ndarray, s: np.ndarray, Vt: np.ndarray, cfg: Solve
     resid = float(np.max(np.abs(Xv - Xv @ C))) / scale
     if resid > cfg.tol:
         return None
-    return _one_step(C, "lrrsc", resid, float(r), cfg)
+    return _result(C, "lrrsc", cfg, 1, resid, r)
 
 
 def _lrrsc_admm(Xv: np.ndarray, U, s, Vt, cfg: SolverConfig, scale) -> CoefficientMatrix:
@@ -384,7 +379,6 @@ def _lrrsc_admm(Xv: np.ndarray, U, s, Vt, cfg: SolverConfig, scale) -> Coefficie
     E = np.zeros((d, n))
     Y1 = np.zeros((d, n))
     Y2 = np.zeros((n, n))
-    converged = False
     for iterations in range(1, cfg.max_iter + 1):
         J = singular_value_threshold(C + Y2 / mu, 1.0 / mu)
         J = (J + J.T) / 2.0
@@ -400,7 +394,6 @@ def _lrrsc_admm(Xv: np.ndarray, U, s, Vt, cfg: SolverConfig, scale) -> Coefficie
             feas = float(np.max(np.abs(Xv - Xv @ C_sym - E))) / scale
             gap = float(np.max(np.abs(C_sym - J))) / scale
             if feas <= cfg.tol and gap <= cfg.tol:
-                converged = True
                 break
         Y1 += mu * leq1
         Y2 += mu * leq2
@@ -408,8 +401,7 @@ def _lrrsc_admm(Xv: np.ndarray, U, s, Vt, cfg: SolverConfig, scale) -> Coefficie
 
     e_l21 = float(np.sum(np.linalg.norm(E, axis=0)))
     nuclear = float(np.sum(lapack("SVD of LRRSC's C", np.linalg.svd, C_sym, compute_uv=False)))
-    report = SolverReport(iterations, max(feas, gap), nuclear + cfg.lam * e_l21, converged)
-    return _result(C_sym, "lrrsc", cfg, report)
+    return _result(C_sym, "lrrsc", cfg, iterations, max(feas, gap), nuclear + cfg.lam * e_l21)
 
 
 def solve_lrrsc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:

@@ -686,11 +686,72 @@ class TestClosedFormReport:
         assert solvers._closed_form(X.values, C, weight, C @ P, name, cfg).report.converged
 
 
+_NORMALIZED = _random_matrix(1, 6, 12)
+# max|X| > 1, so LRRSC's residual is divided by a numpy scalar, max|X|
+_UNNORMALIZED = DataMatrix(3.0 * np.random.default_rng(1).standard_normal((6, 12)))
+
+# solver, config overrides, iterations ("one", "some" or "all" of max_iter), converged
+_REPORT_PATHS = [
+    pytest.param("lsr", {}, "one", True, id="lsr"),
+    pytest.param("lsr", dict(tol=1e-30), "one", False, id="lsr-unmet-tol"),
+    pytest.param("smr", {}, "one", True, id="smr"),
+    pytest.param("lrrsc", {}, "one", True, id="lrrsc-closed-form"),
+    pytest.param("lrrsc", dict(lam=0.05), "some", True, id="lrrsc-admm"),
+    pytest.param("lrrsc", dict(lam=1e-3, max_iter=5), "all", False, id="lrrsc-admm-capped"),
+    pytest.param("ssc", dict(max_iter=5000), "some", True, id="ssc"),
+    pytest.param("ssc", dict(max_iter=3), "all", False, id="ssc-capped"),
+]
+
+
+class TestSolverReport:
+    """`_result` is every solve's one exit: it builds the report, with plain
+    Python types and converged exactly primal_residual <= tol, and it names a
+    non-finite C as an overflow at the solver's lam."""
+
+    @pytest.mark.parametrize("X", [_NORMALIZED, _UNNORMALIZED], ids=["normalized", "max|X|>1"])
+    @pytest.mark.parametrize("solver, overrides, iterations, converged", _REPORT_PATHS)
+    def test_types_and_converged_rule(self, X, solver, overrides, iterations, converged):
+        cfg = default_solver_config(solver, **overrides)
+        report = solvers.solve(solver, X, cfg).report
+        # each case takes the exit it names
+        if iterations == "some":
+            assert 1 < report.iterations < cfg.max_iter
+        else:
+            assert report.iterations == {"one": 1, "all": cfg.max_iter}[iterations]
+        assert report.converged is converged
+        assert type(report.iterations) is int
+        assert type(report.primal_residual) is float
+        assert type(report.objective) is float
+        assert type(report.converged) is bool
+        assert report.converged == (report.primal_residual <= cfg.tol)
+
+    @pytest.mark.parametrize("solver", solvers.SOLVERS)
+    @pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+    def test_non_finite_coefficients_name_solver_and_lam(self, solver, entry):
+        C = np.eye(3)
+        C[1, 2] = entry
+        cfg = default_solver_config(solver, lam=1e308)
+        message = f"{solver} produced non-finite coefficients at lam=1e+308"
+        with pytest.raises(NumericalError, match=f"^{re.escape(message)}$"):
+            solvers._result(C, solver, cfg, 1, 0.0, 0.0)
+
+
 class TestSSC:
     def test_diag_exactly_zero(self):
         X = _random_matrix(0, 8, 25)
         C = solve_ssc(X, default_solver_config("ssc"))
         assert np.all(np.diag(C.values) == 0.0)
+
+    @pytest.mark.parametrize(
+        "overrides", [dict(max_iter=1), dict(max_iter=2), dict(max_iter=7), {}],
+        ids=["max_iter=1", "max_iter=2", "max_iter=7", "default"],
+    )
+    def test_diag_is_positive_zero_from_projecting_a(self, overrides):
+        # only A's diagonal is zeroed; the dual's stays +0.0, so C's is +0.0 bit for bit
+        X = _random_matrix(0, 8, 25)
+        diag = np.diag(solve_ssc(X, default_solver_config("ssc", **overrides)).values)
+        assert np.all(diag == 0.0)
+        assert not np.any(np.signbit(diag))
 
     def test_subspace_preserving_two_subspaces(self):
         spec = SyntheticSpec(2, 2, 10, 15, 0.0, seed=5)
