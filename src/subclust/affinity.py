@@ -70,9 +70,6 @@ def build_svdm(C: np.ndarray, cfg: AffinityConfig) -> np.ndarray:
     """
     cv = checked_matrix(C, "coefficient matrix", square=True)
     U, s = lapack("SVD of the coefficient matrix", np.linalg.svd, cv, full_matrices=False)[:2]
-    n = cv.shape[0]
-    if s[0] == 0.0:
-        return np.zeros((n, n))
     keep = s >= 1e-4 * s[0]
     vectors = U[:, keep]
     del U

@@ -25,11 +25,11 @@ _ROW_BLOCK = 256
 
 
 def checked_matrix(values, what: str, square: bool = False) -> np.ndarray:
-    """values as float64; DataError unless 2-D (square if asked), nonempty and finite.
+    """values as C-order float64; DataError unless 2-D (square if asked), nonempty and finite.
 
     The one check of every matrix a stage receives: X, C, W and k-means' points.
     """
-    v = np.asarray(values, dtype=np.float64)
+    v = np.asarray(values, dtype=np.float64, order="C")  # the layout sets BLAS's sum order
     if v.ndim != 2 or (square and v.shape[0] != v.shape[1]):
         raise DataError(f"{what} must be {'square' if square else '2-D'}, got shape {v.shape}")
     if v.size == 0:
@@ -138,7 +138,7 @@ def _loadtxt(path, what: str, **kwargs) -> np.ndarray:
 
 
 def load_matrix_binary(path) -> np.ndarray:
-    """Read a matrix in the SSCB binary format (see save_matrix_binary)."""
+    """Read a matrix in the SSCB binary format (see save_matrix_binary) into C order."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 13 or blob[:4] != BINARY_MAGIC:
@@ -153,9 +153,7 @@ def load_matrix_binary(path) -> np.ndarray:
         )
     if d * n == 0:
         raise DataError(f"binary matrix file {path} contains no data")
-    flat = np.frombuffer(blob, dtype="<f8", offset=13)
-    # column-major like the transposed CSV rows, so both copies normalize alike
-    return flat.reshape((d, n), order="F").copy(order="F")
+    return np.frombuffer(blob, dtype="<f8", offset=13).reshape((n, d)).T.copy()
 
 
 def save_matrix_binary(values: np.ndarray, path) -> None:
@@ -212,7 +210,8 @@ def squared_distances(points: np.ndarray) -> np.ndarray:
     pdist sums each pair's squared differences in order, unlike a Gram-matrix GEMM, so
     the table is exactly symmetric and duplicates are exactly 0 apart; smr's kNN graph
     and the k-means++ draws rest on this summation order."""
-    return squareform(pdist(points, "sqeuclidean"))
+    # pdist walks a strided input, such as X.values.T, more slowly to the same bits
+    return squareform(pdist(np.ascontiguousarray(points), "sqeuclidean"))
 
 
 def pca_project(X: DataMatrix, target_dim: int) -> DataMatrix:
@@ -278,7 +277,7 @@ def normalize_columns(X: DataMatrix) -> DataMatrix:
             stacklevel=2,
         )
     out_of_range = ~zero & ((norms < np.sqrt(np.finfo(np.float64).tiny)) | np.isinf(norms))
-    # dividing the other columns by 1.0 keeps their bits and the memory layout
+    # dividing the other columns by 1.0 keeps their bits
     values = X.values / np.where(out_of_range, peak, 1.0)
     norms[out_of_range] = np.linalg.norm(values[:, out_of_range], axis=0)
     return DataMatrix(values / np.where(zero, 1.0, norms))

@@ -253,9 +253,9 @@ def solve_ssc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
     each iteration runs two n x r x n products, r = min(d, n). X C is
     formed only for the convergence test, once A - C meets tol, and at the
     last iteration. Non-convergence within max_iter returns
-    converged=False, not an error; a lambda_e outside (0, inf), from an
-    X^T X that overflows or underflows, raises NumericalError, as does a
-    nonzero column whose x_i^T x_i underflows to 0.
+    converged=False, not an error; a lambda_e outside (0, inf) or an
+    infinite 1 / mu_e, from an X^T X that overflows or underflows, raises
+    NumericalError, as does a nonzero column whose x_i^T x_i underflows to 0.
     """
     Xv = X.values
     d, n = Xv.shape
@@ -284,10 +284,13 @@ def solve_ssc(X: DataMatrix, cfg: SolverConfig) -> CoefficientMatrix:
         warnings.warn("ssc: data columns are mutually orthogonal; using lambda_e = lam")
         mu_e = 1.0
     lambda_e = cfg.lam / mu_e
-    if lambda_e == np.inf:
+    if lambda_e / cfg.lam == np.inf:  # rho1 / rho2 in the quadratic step
+        what, blame = "lambda_e = lam / mu_e", " or lam too large"
+        if lambda_e < np.inf:  # only 1 / mu_e overflows, which no lam mends
+            what, blame = "lambda_e / lam = 1 / mu_e", ""
         raise NumericalError(
-            f"ssc produced non-finite coefficients at lam={cfg.lam!r}: lambda_e = lam / mu_e "
-            f"is inf at mu_e = {mu_e!r}; the data scale is too small or lam too large"
+            f"ssc produced non-finite coefficients at lam={cfg.lam!r}: {what} "
+            f"is inf at mu_e = {mu_e!r}; the data scale is too small{blame}"
         )
     if not lambda_e > 0.0:  # 0.0 where X^T X overflows to mu_e = inf, nan where it is nan
         raise NumericalError(

@@ -179,7 +179,7 @@ def kmeans(points: np.ndarray, k: int, seeds: Sequence[int]) -> list[np.ndarray]
     overflows, raise DataError, and a seed that is not an int >= 0
     ConfigError, all before any draw.
     """
-    points = np.ascontiguousarray(checked_matrix(points, "point matrix"))
+    points = checked_matrix(points, "point matrix")
     n = points.shape[0]
     require("k", k, int, at_least=1, at_most=n)
     for seed in seeds:

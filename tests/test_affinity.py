@@ -167,8 +167,11 @@ class TestSVDM:
         assert np.max(np.abs(a - b)) <= 1e-10
 
     def test_zero_matrix(self):
-        W = build_svdm(np.zeros((5, 5)), AffinityConfig())
-        assert np.array_equal(W, np.zeros((5, 5)))
+        # bytes, so a -0.0 in W fails
+        for n in (1, 5):
+            for zero in (0.0, -0.0):
+                W = build_svdm(np.full((n, n), zero), AffinityConfig())
+                assert W.tobytes() == np.zeros((n, n)).tobytes()
 
     def test_zero_row_gets_zero_affinities(self):
         C = _random_coeff(9, n=5)

@@ -11,15 +11,18 @@ from subclust import (
     DataMatrix,
     Dataset,
     LabelVector,
+    SOLVERS,
     SyntheticSpec,
     default_solver_config,
+    emit_table,
     generate_synthetic,
     load_dataset,
     normalize_columns,
     pca_project,
     prepare_dataset,
+    run_grid,
     save_dataset,
-    solve_lsr,
+    solve,
 )
 from subclust.data import load_matrix_binary, save_matrix_binary
 from subclust.errors import ConfigError, DataError
@@ -71,19 +74,27 @@ class TestLoadSave:
         assert np.array_equal(back.truth.labels, ds.truth.labels)
 
     def test_binary_and_csv_copies_prepare_alike(self, tmp_path):
-        # both formats load column-major, so normalize_columns' column norms
-        # sum in the same order and the prepared copies keep equal bits
-        ds = generate_synthetic(SyntheticSpec(10, 5, 256, 50, 0.08, seed=1))
+        # X reaches every stage in C order however it was made, so the sums of
+        # the column norms and of every product run in one order, and the
+        # generated dataset and its two saved copies keep equal bits to the end
+        ds = generate_synthetic(SyntheticSpec(10, 5, 256, 10, 0.08, seed=1))
         save_dataset(ds, tmp_path / "m.csv", tmp_path / "l.txt", "csv")
         save_dataset(ds, tmp_path / "m.bin", tmp_path / "l.txt", "binary")
-        csv, binary = (
-            prepare_dataset(load_dataset(tmp_path / name, tmp_path / "l.txt", fmt))
+        copies = [ds] + [
+            load_dataset(tmp_path / name, tmp_path / "l.txt", fmt)
             for name, fmt in (("m.csv", "csv"), ("m.bin", "binary"))
-        )
-        assert binary.matrix.values.tobytes() == csv.matrix.values.tobytes()
-        cfg = default_solver_config("lsr")
-        C_csv, C_binary = solve_lsr(csv.matrix, cfg), solve_lsr(binary.matrix, cfg)
-        assert C_binary.values.tobytes() == C_csv.values.tobytes()
+        ]
+        flags = [c.matrix.values.flags for c in copies]
+        assert all(f.c_contiguous and f.writeable for f in flags)
+        for pca_dim in (None, 40):
+            prepared = [prepare_dataset(c, pca_dim=pca_dim) for c in copies]
+            outputs = [
+                [p.matrix.values.tobytes()]
+                + [solve(s, p.matrix, default_solver_config(s)).values.tobytes() for s in SOLVERS]
+                + [emit_table(run_grid(p, trials=2), "csv")]
+                for p in prepared
+            ]
+            assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
 
     def test_binary_header_dims(self, tmp_path):
         ds = _random_dataset(seed=9, d=4, n=6)
@@ -385,8 +396,8 @@ class TestNormalize:
         values = np.asarray(np.random.default_rng(6).standard_normal((7, 12)), order=order)
         X = normalize_columns(DataMatrix(values))
         assert X.values.tobytes() == (values / np.linalg.norm(values, axis=0)).tobytes()
-        # the layout sets the summation order of later column norms (a CSV loads as F)
-        assert X.values.flags.f_contiguous == (order == "F")
+        # every stage sees one layout, which sets the summation order of later products
+        assert X.values.flags.c_contiguous
 
     def test_zero_column_beside_a_subnormal_one(self):
         values = np.array([[3e-310, 0.0], [4e-310, 0.0]])

@@ -429,7 +429,7 @@ def _knn_inputs():
     usps = generate_synthetic(SyntheticSpec(10, 5, 256, 50, 0.08, seed=0))
     grid = np.array(np.meshgrid(*[np.arange(3.0)] * 3)).reshape(3, -1)
     return {
-        # column-major, as the CLI loads a CSV
+        # column-major, as a CSV's transposed rows are before DataMatrix lays them out
         "usps-256x500": np.asfortranarray(prepare_dataset(usps, normalize=True).matrix.values),
         "triplicated": np.tile(rng.standard_normal((6, 15)), 3),
         "quarters": np.round(4.0 * rng.standard_normal((5, 40))) / 4.0,
@@ -549,7 +549,8 @@ class TestLSR:
     @pytest.mark.parametrize("lam", [0.01, 1.0])
     def test_matches_out_of_place_bitwise(self, Xv, lam):
         cfg = default_solver_config("lsr", lam=lam)
-        _assert_report_of(solve_lsr(DataMatrix(Xv), cfg), *_lsr_out_of_place(Xv, lam), cfg.tol)
+        X = DataMatrix(Xv)  # the reference takes the layout the solver sees
+        _assert_report_of(solve_lsr(X, cfg), *_lsr_out_of_place(X.values, lam), cfg.tol)
 
     def test_huge_lambda_kills_coefficients(self):
         X = _random_matrix(0, 5, 8, normalize=False)
@@ -1139,9 +1140,14 @@ class TestExtremeDataScale:
         assert np.allclose(out, np.diag([0.9e200, 1.9e200, 2.9e200]), rtol=1e-12, atol=0.0)
 
     def test_ssc_names_the_underflowed_mu_e(self):
-        # raised before the quadratic step, whose inf / inf is the first warning
-        with pytest.raises(NumericalError, match="mu_e = .*e-32.*data scale is too small"):
-            solve_ssc(self._scaled(1e-160), default_solver_config("ssc"))
+        # raised before the quadratic step, whose inf / inf is the first warning.
+        # At lam 20 lambda_e = lam / mu_e overflows; at 1e-20 and 1e-300 it stays
+        # finite, but the step's rho1 / rho2 = lambda_e / lam, about 1 / mu_e, does not
+        for lam in (20.0, 1e-20, 1e-300):
+            what = "lambda_e = lam" if lam == 20.0 else "lambda_e / lam"
+            match = f"{what} .* is inf at mu_e = .*e-32.*data scale is too small"
+            with pytest.raises(NumericalError, match=match):
+                solve_ssc(self._scaled(1e-160), default_solver_config("ssc", lam=lam))
 
     # every square x_ij^2 underflows to 0 at these scales, so ||x_i|| and
     # x_i^T x_i do too: no column is zero, and mu_e = 0 is no orthogonality
